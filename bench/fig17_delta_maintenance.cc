@@ -31,7 +31,16 @@ void Run(const char* algo, const std::string& source) {
                                       MergeStrategy::kCostBased};
   std::vector<std::vector<double>> seconds(3);
   std::vector<uint64_t> final_chain(3);
+  // Store-wide totals per strategy: chain merges and bytes written
+  // (CSR, one-shot, delta files and merged chains).
+  MetricsRegistry& registry = GlobalMetrics().registry();
+  Counter* merges = registry.counter("vertex_store.chain_merges");
+  Counter* written = registry.counter("io.write_bytes");
+  std::vector<uint64_t> merge_count(3);
+  std::vector<uint64_t> written_bytes(3);
   for (int s = 0; s < 3; ++s) {
+    const uint64_t merges0 = merges->value();
+    const uint64_t written0 = written->value();
     HarnessOptions options;
     options.path = bench::TempPath("fig17");
     options.engine.fixed_supersteps = 10;
@@ -46,6 +55,8 @@ void Run(const char* algo, const std::string& source) {
     }
     final_chain[s] =
         harness->store().vertex_store()->ChainRecords(5, /*attr=*/4);
+    merge_count[s] = merges->value() - merges0;
+    written_bytes[s] = written->value() - written0;
   }
   for (int t = 10; t <= kSnapshots; t += 10) {
     // Average over the preceding 10 snapshots to smooth noise.
@@ -62,6 +73,14 @@ void Run(const char* algo, const std::string& source) {
               static_cast<unsigned long long>(final_chain[0]),
               static_cast<unsigned long long>(final_chain[1]),
               static_cast<unsigned long long>(final_chain[2]));
+  std::printf("vertex_store.chain_merges: NoMerge=%llu Periodic=%llu "
+              "Cost=%llu\n",
+              static_cast<unsigned long long>(merge_count[0]),
+              static_cast<unsigned long long>(merge_count[1]),
+              static_cast<unsigned long long>(merge_count[2]));
+  std::printf("MB written: NoMerge=%.0f Periodic=%.0f Cost=%.0f\n",
+              written_bytes[0] / 1e6, written_bytes[1] / 1e6,
+              written_bytes[2] / 1e6);
 }
 
 }  // namespace

@@ -168,15 +168,17 @@ void BM_VertexStoreOverlay(benchmark::State& state) {
   VertexStore vs(pages->get(), n, MergeStrategy::kNoMerge);
   int attr = vs.RegisterAttribute("rank", 1);
   Rng rng(1);
+  std::vector<double> values(static_cast<size_t>(n));
   for (Timestamp t = 0; t < 20; ++t) {
-    std::vector<VertexStore::AfterImage> records;
+    std::vector<VertexId> vids;
     for (int i = 0; i < 500; ++i) {
-      records.push_back({static_cast<VertexId>(rng.Uniform(n)),
-                         {rng.NextDouble()}});
+      const VertexId v = static_cast<VertexId>(rng.Uniform(n));
+      values[static_cast<size_t>(v)] = rng.NextDouble();
+      vids.push_back(v);
     }
-    std::sort(records.begin(), records.end(),
-              [](const auto& a, const auto& b) { return a.vid < b.vid; });
-    (void)vs.WriteDelta(t, 0, attr, records);
+    std::sort(vids.begin(), vids.end());
+    vids.erase(std::unique(vids.begin(), vids.end()), vids.end());
+    (void)vs.WriteDelta(t, 0, attr, vids, values.data());
   }
   BufferPool pool(pages->get(), 64);
   std::vector<double> column(static_cast<size_t>(n));

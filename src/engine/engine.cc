@@ -1092,22 +1092,21 @@ Status Engine::WriteDeltaFiles(Timestamp t, Superstep s,
                                const ColumnSet* reference_a,
                                const ColumnSet* reference_b) {
   VertexStore* vs = store_->vertex_store();
-  std::vector<VertexStore::AfterImage> records;
+  const bool keep_all = reference_a == nullptr && reference_b == nullptr;
+  std::vector<VertexId> vids;
   for (int attr : attrs) {
-    records.clear();
-    const int width = values.width(attr);
+    vids.clear();
     for (VertexId v : candidates) {
-      bool changed =
+      if (keep_all ||
           (reference_a != nullptr &&
            ColumnSet::CellDiffers(values, *reference_a, attr, v)) ||
           (reference_b != nullptr &&
-           ColumnSet::CellDiffers(values, *reference_b, attr, v));
-      if (reference_a == nullptr && reference_b == nullptr) changed = true;
-      if (!changed) continue;
-      const double* cell = values.Cell(attr, v);
-      records.push_back({v, std::vector<double>(cell, cell + width)});
+           ColumnSet::CellDiffers(values, *reference_b, attr, v))) {
+        vids.push_back(v);
+      }
     }
-    ITG_RETURN_IF_ERROR(vs->WriteDelta(t, s, attr, records));
+    ITG_RETURN_IF_ERROR(
+        vs->WriteDelta(t, s, attr, vids, values.Column(attr).data()));
   }
   return Status::OK();
 }

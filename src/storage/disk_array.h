@@ -1,6 +1,7 @@
 #ifndef ITG_STORAGE_DISK_ARRAY_H_
 #define ITG_STORAGE_DISK_ARRAY_H_
 
+#include <algorithm>
 #include <cstring>
 #include <type_traits>
 #include <vector>
@@ -82,7 +83,14 @@ class DiskArrayBuilder {
   }
 
   Status AppendRange(const T* data, size_t n) {
-    for (size_t i = 0; i < n; ++i) ITG_RETURN_IF_ERROR(Append(data[i]));
+    constexpr size_t kPerPage = kPageSize / sizeof(T);
+    while (n > 0) {
+      const size_t take = std::min(n, kPerPage - buffer_.size());
+      buffer_.insert(buffer_.end(), data, data + take);
+      data += take;
+      n -= take;
+      if (buffer_.size() == kPerPage) ITG_RETURN_IF_ERROR(FlushPage());
+    }
     return Status::OK();
   }
 

@@ -40,8 +40,7 @@ StatusOr<std::unique_ptr<DynamicGraphStore>> DynamicGraphStore::Create(
   ITG_ASSIGN_OR_RETURN(store->in_neighbors_, in_builder.Finish());
 
   // Snapshot 0 has an empty overlay.
-  store->views_[0] = View{};
-  store->views_[0].num_edges = store->base_num_edges_;
+  store->num_edges_ = store->base_num_edges_;
   return store;
 }
 
@@ -57,44 +56,54 @@ StatusOr<Timestamp> DynamicGraphStore::ApplyMutations(
   Timestamp t = latest_ + 1;
   ITG_RETURN_IF_ERROR(delta_store_->ApplyBatch(t, batch));
 
-  // New view = copy of latest view + batch (last operation wins).
+  // Update the latest overlay in place (last operation wins). The first
+  // time the batch touches a vertex, its pre-batch overlay goes to the
+  // undo log, which is what keeps reads at t − 1 exact.
   // Degree bookkeeping assumes the workload invariant that insertions
   // target absent edges and deletions target present ones, so each
   // operation shifts the merged degree by exactly its multiplicity.
-  View view = views_.at(latest_);
-  auto apply = [](std::unordered_map<VertexId, OverlayList>& adj,
-                  std::unordered_map<VertexId, int64_t>& degree_delta,
-                  VertexId src, VertexId dst, Multiplicity m) {
-    OverlayList& list = adj[src];
+  auto apply = [](Overlay& overlay, VertexId src, VertexId dst,
+                  Multiplicity m) {
+    VertexOverlay& cur = overlay.latest[src];
+    overlay.undo.try_emplace(src, cur);
     auto it = std::lower_bound(
-        list.entries.begin(), list.entries.end(), dst,
+        cur.entries.begin(), cur.entries.end(), dst,
         [](const auto& e, VertexId v) { return e.first < v; });
-    if (it != list.entries.end() && it->first == dst) {
+    if (it != cur.entries.end() && it->first == dst) {
       it->second = m;
     } else {
-      list.entries.insert(it, {dst, m});
+      cur.entries.insert(it, {dst, m});
     }
-    degree_delta[src] += m;
+    cur.degree_delta += m;
   };
+  out_overlay_.undo.clear();
+  in_overlay_.undo.clear();
+  prev_num_edges_ = num_edges_;
   for (const EdgeDelta& d : batch) {
-    apply(view.out, view.out_degree_delta, d.edge.src, d.edge.dst, d.mult);
-    apply(view.in, view.in_degree_delta, d.edge.dst, d.edge.src, d.mult);
-    view.num_edges += (d.mult > 0) ? 1 : -1;
+    apply(out_overlay_, d.edge.src, d.edge.dst, d.mult);
+    apply(in_overlay_, d.edge.dst, d.edge.src, d.mult);
+    num_edges_ += (d.mult > 0) ? 1 : -1;
   }
-
-  views_[t] = std::move(view);
   latest_ = t;
-  // Keep only the latest and previous views.
-  while (views_.size() > 2) views_.erase(views_.begin());
   return t;
 }
 
-const DynamicGraphStore::View* DynamicGraphStore::ViewAt(Timestamp t) const {
-  auto it = views_.find(t);
-  ITG_CHECK(it != views_.end())
+void DynamicGraphStore::CheckSnapshot(Timestamp t) const {
+  ITG_CHECK(t == latest_ || (latest_ > 0 && t == latest_ - 1))
       << "snapshot " << t << " view unavailable (only latest and previous "
       << "snapshots are retained); latest=" << latest_;
-  return &it->second;
+}
+
+const DynamicGraphStore::VertexOverlay* DynamicGraphStore::OverlayAt(
+    VertexId u, Timestamp t, Direction d) const {
+  CheckSnapshot(t);
+  const Overlay& overlay = (d == Direction::kOut) ? out_overlay_ : in_overlay_;
+  if (t != latest_) {
+    auto it = overlay.undo.find(u);
+    if (it != overlay.undo.end()) return &it->second;
+  }
+  auto it = overlay.latest.find(u);
+  return it == overlay.latest.end() ? nullptr : &it->second;
 }
 
 Status DynamicGraphStore::ReadBaseAdjacency(BufferPool* pool, VertexId u,
@@ -115,17 +124,15 @@ Status DynamicGraphStore::GetAdjacency(BufferPool* pool, VertexId u,
                                        Timestamp t, Direction d,
                                        std::vector<VertexId>* out) const {
   ITG_RETURN_IF_ERROR(ReadBaseAdjacency(pool, u, d, out));
-  const View* view = ViewAt(t);
-  const auto& adj = (d == Direction::kOut) ? view->out : view->in;
-  auto it = adj.find(u);
-  if (it == adj.end()) return Status::OK();
+  const VertexOverlay* overlay = OverlayAt(u, t, d);
+  if (overlay == nullptr || overlay->entries.empty()) return Status::OK();
   // Merge the sorted base list with the sorted overlay: deletions drop
   // base edges, insertions add new ones (this is the lazy deletion
   // marking applied at page-load time).
+  const auto& entries = overlay->entries;
   std::vector<VertexId> merged;
-  merged.reserve(out->size() + it->second.entries.size());
+  merged.reserve(out->size() + entries.size());
   size_t bi = 0;
-  const auto& entries = it->second.entries;
   size_t oi = 0;
   while (bi < out->size() || oi < entries.size()) {
     if (oi == entries.size() ||
@@ -147,22 +154,17 @@ Status DynamicGraphStore::GetAdjacency(BufferPool* pool, VertexId u,
 int64_t DynamicGraphStore::Degree(VertexId u, Timestamp t, Direction d) const {
   const auto& offsets = (d == Direction::kOut) ? out_offsets_ : in_offsets_;
   int64_t degree = offsets[u + 1] - offsets[u];
-  const View* view = ViewAt(t);
-  const auto& deltas =
-      (d == Direction::kOut) ? view->out_degree_delta : view->in_degree_delta;
-  auto it = deltas.find(u);
-  if (it != deltas.end()) degree += it->second;
+  const VertexOverlay* overlay = OverlayAt(u, t, d);
+  if (overlay != nullptr) degree += overlay->degree_delta;
   return degree;
 }
 
 StatusOr<bool> DynamicGraphStore::HasEdge(BufferPool* pool, VertexId u,
                                           VertexId v, Timestamp t,
                                           Direction d) const {
-  const View* view = ViewAt(t);
-  const auto& adj = (d == Direction::kOut) ? view->out : view->in;
-  auto it = adj.find(u);
-  if (it != adj.end()) {
-    const auto& entries = it->second.entries;
+  const VertexOverlay* overlay = OverlayAt(u, t, d);
+  if (overlay != nullptr) {
+    const auto& entries = overlay->entries;
     auto eit = std::lower_bound(
         entries.begin(), entries.end(), v,
         [](const auto& e, VertexId x) { return e.first < x; });
@@ -180,7 +182,8 @@ Status DynamicGraphStore::ScanDeltas(
 }
 
 size_t DynamicGraphStore::num_edges(Timestamp t) const {
-  return ViewAt(t)->num_edges;
+  CheckSnapshot(t);
+  return t == latest_ ? num_edges_ : prev_num_edges_;
 }
 
 Status DynamicGraphStore::MaterializeEdges(BufferPool* pool, Timestamp t,

@@ -2,7 +2,6 @@
 #define ITG_STORAGE_GRAPH_STORE_H_
 
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -30,8 +29,12 @@ namespace itg {
 ///
 /// Snapshots: timestamp 0 is G_0; each ApplyMutations() call creates the
 /// next snapshot. Queries may target the latest or the immediately
-/// preceding snapshot (all the incremental engine ever needs); overlay
-/// views for older snapshots are dropped.
+/// preceding snapshot (all the incremental engine ever needs). The
+/// overlay is kept once, for the latest snapshot, and updated in place;
+/// an undo log holds the pre-batch overlay of every vertex the latest
+/// batch touched, which is all a read of the previous snapshot needs.
+/// Ingest therefore costs what the batch touches, not every mutation
+/// applied since Create.
 class DynamicGraphStore {
  public:
   struct Options {
@@ -103,21 +106,25 @@ class DynamicGraphStore {
   Metrics* metrics() { return metrics_; }
 
  private:
-  struct OverlayList {
-    // Sorted by dst; mult is the last operation applied to that edge.
+  /// Cumulative mutations of one vertex in one direction.
+  struct VertexOverlay {
+    // Sorted by neighbor; mult is the last operation applied to that edge.
     std::vector<std::pair<VertexId, Multiplicity>> entries;
+    int64_t degree_delta = 0;
   };
-  struct View {
-    std::unordered_map<VertexId, OverlayList> out;
-    std::unordered_map<VertexId, OverlayList> in;
-    std::unordered_map<VertexId, int64_t> out_degree_delta;
-    std::unordered_map<VertexId, int64_t> in_degree_delta;
-    size_t num_edges = 0;
+  /// The overlay of one direction, keyed by traversal origin.
+  struct Overlay {
+    std::unordered_map<VertexId, VertexOverlay> latest;
+    // Pre-batch state of each vertex the latest batch touched.
+    std::unordered_map<VertexId, VertexOverlay> undo;
   };
 
   DynamicGraphStore() = default;
 
-  const View* ViewAt(Timestamp t) const;
+  /// The overlay of `u` at snapshot `t` (latest or previous), or null
+  /// when no mutation up to `t` touched it.
+  const VertexOverlay* OverlayAt(VertexId u, Timestamp t, Direction d) const;
+  void CheckSnapshot(Timestamp t) const;
   Status ReadBaseAdjacency(BufferPool* pool, VertexId u, Direction d,
                            std::vector<VertexId>* out) const;
 
@@ -137,8 +144,10 @@ class DynamicGraphStore {
   DiskArray<VertexId> out_neighbors_;
   DiskArray<VertexId> in_neighbors_;
 
-  // Overlay views for the latest and previous snapshots (older dropped).
-  std::map<Timestamp, View> views_;
+  Overlay out_overlay_;
+  Overlay in_overlay_;
+  size_t num_edges_ = 0;       // at latest_
+  size_t prev_num_edges_ = 0;  // at latest_ - 1
 };
 
 }  // namespace itg

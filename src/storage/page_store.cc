@@ -1,5 +1,6 @@
 #include "storage/page_store.h"
 
+#include <cstdio>
 #include <cstring>
 
 #include "common/logging.h"
@@ -17,21 +18,29 @@ StatusOr<std::unique_ptr<PageStore>> PageStore::Open(const std::string& path,
 }
 
 PageStore::~PageStore() {
+  // The file was opened truncating ("w+b"), so nothing can reopen its
+  // pages later: it dies with the store.
   if (file_ != nullptr) std::fclose(file_);
+  std::remove(path_.c_str());
 }
 
 StatusOr<PageId> PageStore::AppendPage(const void* data, size_t n) {
   if (n > kPageSize) {
     return Status::InvalidArgument("page payload exceeds page size");
   }
-  std::vector<uint8_t> buf(kPageSize, 0);
-  std::memcpy(buf.data(), data, n);
   std::lock_guard<std::mutex> lock(io_mu_);
   if (std::fseek(file_, static_cast<long>(page_count_ * kPageSize),
                  SEEK_SET) != 0) {
     return Status::IOError("seek failed on " + path_);
   }
-  if (std::fwrite(buf.data(), 1, kPageSize, file_) != kPageSize) {
+  // A short page is padded in pad_, which is all zeros between calls, so
+  // the page is still one write and only its n payload bytes are copied.
+  const bool pad = n < kPageSize;
+  if (pad) std::memcpy(pad_.data(), data, n);
+  const size_t written =
+      std::fwrite(pad ? pad_.data() : data, 1, kPageSize, file_);
+  if (pad) std::memset(pad_.data(), 0, n);
+  if (written != kPageSize) {
     return Status::IOError("write failed on " + path_);
   }
   if (metrics_ != nullptr) metrics_->AddWriteBytes(kPageSize);

@@ -32,11 +32,12 @@ using PageId = uint32_t;
 /// fault pages concurrently.
 class PageStore {
  public:
-  /// Opens (creating if necessary) the backing file. `metrics` receives
-  /// write accounting; reads are accounted by the BufferPool on miss.
+  /// Creates (truncating) the backing file. `metrics` receives write
+  /// accounting; reads are accounted by the BufferPool on miss.
   static StatusOr<std::unique_ptr<PageStore>> Open(const std::string& path,
                                                    Metrics* metrics);
 
+  /// Closes and deletes the backing file.
   ~PageStore();
 
   PageStore(const PageStore&) = delete;
@@ -69,6 +70,8 @@ class PageStore {
   // logically-const ReadPage can lock it).
   mutable std::mutex io_mu_;
   size_t page_count_ = 0;
+  // Zeroed padding for short pages; guarded by io_mu_.
+  std::vector<uint8_t> pad_ = std::vector<uint8_t>(kPageSize);
 };
 
 /// An LRU page cache over a PageStore with a fixed capacity in pages.

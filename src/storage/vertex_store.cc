@@ -2,12 +2,69 @@
 
 #include <algorithm>
 #include <bit>
-#include <map>
 
 #include "common/logging.h"
 #include "common/trace.h"
 
 namespace itg {
+
+namespace {
+
+/// Streams the records of one delta file through the buffer pool, at
+/// most a page's worth of whole records at a time.
+class RecordCursor {
+ public:
+  RecordCursor(const DiskArray<int64_t>* data, size_t record_width)
+      : data_(data),
+        record_width_(record_width),
+        chunk_size_(std::max<size_t>(1, DiskArray<int64_t>::ElementsPerPage() /
+                                            record_width) *
+                    record_width) {}
+
+  bool done() const { return cur_ == end_; }
+  VertexId vid() const { return cur_[0]; }
+  const int64_t* record() const { return cur_; }
+
+  /// Loads the next chunk; the first call positions at the first record.
+  Status Load(BufferPool* pool) {
+    buf_.resize(std::min(chunk_size_, data_->size() - next_));
+    ITG_RETURN_IF_ERROR(data_->Read(pool, next_, buf_.size(), buf_.data()));
+    next_ += buf_.size();
+    cur_ = buf_.data();
+    end_ = cur_ + buf_.size();
+    return Status::OK();
+  }
+
+  Status Advance(BufferPool* pool) {
+    cur_ += record_width_;
+    return done() ? Load(pool) : Status::OK();
+  }
+
+ private:
+  const DiskArray<int64_t>* data_;
+  size_t record_width_;
+  size_t chunk_size_;  // elements
+  size_t next_ = 0;    // element offset of the next chunk
+  std::vector<int64_t> buf_;
+  const int64_t* cur_ = nullptr;
+  const int64_t* end_ = nullptr;
+};
+
+}  // namespace
+
+VertexStore::VertexStore(PageStore* store, VertexId num_vertices,
+                         MergeStrategy strategy, int merge_period)
+    : store_(store),
+      num_vertices_(num_vertices),
+      strategy_(strategy),
+      merge_period_(merge_period) {
+  if (store_ != nullptr && store_->metrics() != nullptr) {
+    MetricsRegistry& reg = store_->metrics()->registry();
+    merges_ = reg.counter("vertex_store.chain_merges");
+    merge_skips_ = reg.counter("vertex_store.chain_merge_skips");
+    merged_records_ = reg.histogram("vertex_store.merged_records");
+  }
+}
 
 int VertexStore::RegisterAttribute(std::string name, int width) {
   ITG_CHECK_GT(width, 0);
@@ -16,19 +73,21 @@ int VertexStore::RegisterAttribute(std::string name, int width) {
 }
 
 Status VertexStore::WriteDelta(Timestamp t, Superstep s, int attr,
-                               const std::vector<AfterImage>& records) {
-  if (records.empty()) return Status::OK();
+                               const std::vector<VertexId>& vids,
+                               const double* column) {
+  if (vids.empty()) return Status::OK();
   const int width = attrs_[attr].width;
   DiskArrayBuilder<int64_t> builder(store_);
-  for (const AfterImage& rec : records) {
-    ITG_CHECK_EQ(static_cast<int>(rec.values.size()), width);
-    ITG_RETURN_IF_ERROR(builder.Append(rec.vid));
-    for (double v : rec.values) {
-      ITG_RETURN_IF_ERROR(builder.Append(std::bit_cast<int64_t>(v)));
+  for (VertexId v : vids) {
+    ITG_RETURN_IF_ERROR(builder.Append(v));
+    const double* values = column + static_cast<size_t>(v) * width;
+    for (int w = 0; w < width; ++w) {
+      ITG_RETURN_IF_ERROR(builder.Append(std::bit_cast<int64_t>(values[w])));
     }
   }
   ITG_ASSIGN_OR_RETURN(auto array, builder.Finish());
-  chains_[{attr, s}].push_back({t, std::move(array), records.size()});
+  chains_[{attr, s}].push_back(
+      {t, std::move(array), vids.size(), /*base=*/t == 0});
   max_superstep_ = std::max(max_superstep_, s);
   return Status::OK();
 }
@@ -65,7 +124,6 @@ Status VertexStore::OverlaySuperstep(BufferPool* pool, Timestamp t,
 
 Status VertexStore::MaintainAfterSnapshot(Timestamp t, BufferPool* pool) {
   TraceSpan span("vertex_maintain", "storage", static_cast<int64_t>(t));
-  Metrics* metrics = store_ != nullptr ? store_->metrics() : nullptr;
   for (auto& [key, chain] : chains_) {
     if (chain.size() <= 1) continue;
     bool merge = false;
@@ -81,12 +139,12 @@ Status VertexStore::MaintainAfterSnapshot(Timestamp t, BufferPool* pool) {
         // min(sum, |V|); reading every file just to count exactly would
         // itself cost the reads we are trying to avoid).
         uint64_t sum_records = 0;
-        // R_delta: each file written at snapshot τ has been re-read at
-        // every snapshot after it: (t − τ) times.
+        // R_delta: each delta written at snapshot τ has been re-read at
+        // every snapshot after it: (t − τ) times. The base is not a delta.
         uint64_t read_cost = 0;
         for (const DeltaFile& f : chain) {
           sum_records += f.num_records;
-          if (f.t > 0) {
+          if (!f.base) {
             read_cost +=
                 static_cast<uint64_t>(t - f.t) * f.num_records;
           }
@@ -97,23 +155,14 @@ Status VertexStore::MaintainAfterSnapshot(Timestamp t, BufferPool* pool) {
         break;
       }
     }
-    // Export the merge decisions so the Fig-17 strategy comparison can
-    // report how often each policy actually fires.
-    if (metrics != nullptr) {
-      metrics->registry()
-          .counter(merge ? "vertex_store.chain_merges"
-                         : "vertex_store.chain_merge_skips")
-          ->Increment();
-    }
+    if (merges_ != nullptr) (merge ? merges_ : merge_skips_)->Increment();
     if (merge) {
       TraceSpan merge_span("merge_chain", "storage",
                            static_cast<int64_t>(chain.size()));
       ITG_RETURN_IF_ERROR(
           MergeChain(&chain, attrs_[key.first].width, pool));
-      if (metrics != nullptr) {
-        metrics->registry()
-            .histogram("vertex_store.merged_records")
-            ->Record(chain.empty() ? 0 : chain.front().num_records);
+      if (merged_records_ != nullptr) {
+        merged_records_->Record(chain.front().num_records);
       }
     }
   }
@@ -122,34 +171,36 @@ Status VertexStore::MaintainAfterSnapshot(Timestamp t, BufferPool* pool) {
 
 Status VertexStore::MergeChain(std::vector<DeltaFile>* chain, int width,
                                BufferPool* pool) {
+  // k-way merge of the chain's vid-sorted files; on equal vids the newest
+  // file (latest in the chain) wins, i.e. last writer wins.
   const size_t record_width = 1 + static_cast<size_t>(width);
-  // Last-writer-wins union of the chain, in snapshot order.
-  std::map<VertexId, std::vector<double>> merged;
-  std::vector<int64_t> buf;
-  Timestamp last_t = 0;
+  std::vector<RecordCursor> cursors;
+  cursors.reserve(chain->size());
   for (const DeltaFile& file : *chain) {
-    buf.resize(file.num_records * record_width);
-    ITG_RETURN_IF_ERROR(file.data.Read(pool, 0, buf.size(), buf.data()));
-    for (size_t r = 0; r < file.num_records; ++r) {
-      const int64_t* rec = buf.data() + r * record_width;
-      std::vector<double> values(width);
-      for (int w = 0; w < width; ++w) {
-        values[w] = std::bit_cast<double>(rec[1 + w]);
-      }
-      merged[rec[0]] = std::move(values);
-    }
-    last_t = std::max(last_t, file.t);
+    cursors.emplace_back(&file.data, record_width);
+    ITG_RETURN_IF_ERROR(cursors.back().Load(pool));
   }
   DiskArrayBuilder<int64_t> builder(store_);
-  for (const auto& [vid, values] : merged) {
-    ITG_RETURN_IF_ERROR(builder.Append(vid));
-    for (double v : values) {
-      ITG_RETURN_IF_ERROR(builder.Append(std::bit_cast<int64_t>(v)));
+  size_t num_records = 0;
+  while (true) {
+    const RecordCursor* winner = nullptr;
+    for (const RecordCursor& c : cursors) {
+      if (!c.done() && (winner == nullptr || c.vid() <= winner->vid())) {
+        winner = &c;
+      }
+    }
+    if (winner == nullptr) break;
+    const VertexId vid = winner->vid();
+    ITG_RETURN_IF_ERROR(builder.AppendRange(winner->record(), record_width));
+    ++num_records;
+    for (RecordCursor& c : cursors) {
+      if (!c.done() && c.vid() == vid) ITG_RETURN_IF_ERROR(c.Advance(pool));
     }
   }
   ITG_ASSIGN_OR_RETURN(auto array, builder.Finish());
+  const Timestamp last_t = chain->back().t;
   chain->clear();
-  chain->push_back({last_t, std::move(array), merged.size()});
+  chain->push_back({last_t, std::move(array), num_records, /*base=*/true});
   return Status::OK();
 }
 

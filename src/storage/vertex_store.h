@@ -31,16 +31,15 @@ enum class MergeStrategy {
 ///
 /// The cost-based maintenance strategy merges a chain when the write cost
 /// of merging, W_merge = |∪_τ X^{(τ,s)}|, is smaller than the accumulated
-/// read cost R_delta = Σ_{0<τ<t} (t−τ)·|X^{(τ,s)}|.
+/// read cost R_delta = Σ_{0<τ<t} (t−τ)·|X^{(τ,s)}|. A merge replaces the
+/// chain by one file that becomes the chain's new base: like F(0, s), a
+/// base is left out of R_delta, so only deltas written after the last
+/// merge push a chain towards its next one.
 class VertexStore {
  public:
   VertexStore(PageStore* store, VertexId num_vertices,
               MergeStrategy strategy = MergeStrategy::kCostBased,
-              int merge_period = 50)
-      : store_(store),
-        num_vertices_(num_vertices),
-        strategy_(strategy),
-        merge_period_(merge_period) {}
+              int merge_period = 50);
 
   /// Registers an attribute with `width` doubles per vertex (1 for
   /// scalars, N for Array<_,N>). Returns the attribute handle.
@@ -52,15 +51,11 @@ class VertexStore {
     return attrs_[attr].name;
   }
 
-  /// One after-image record: a vertex and its `width` values.
-  struct AfterImage {
-    VertexId vid;
-    std::vector<double> values;
-  };
-
-  /// Writes delta file F(t, s) for `attr`. Records must be sorted by vid.
+  /// Writes delta file F(t, s) for `attr`: one after-image per vertex of
+  /// `vids` (sorted ascending), its values read from `column`
+  /// (num_vertices × width doubles).
   Status WriteDelta(Timestamp t, Superstep s, int attr,
-                    const std::vector<AfterImage>& records);
+                    const std::vector<VertexId>& vids, const double* column);
 
   /// Overlays all delta files F(τ≤t, s) for `attr` onto `column`
   /// (num_vertices × width doubles), in snapshot order. When `changed` is
@@ -93,6 +88,7 @@ class VertexStore {
     Timestamp t;
     DiskArray<int64_t> data;  // records: vid, then width doubles (bitcast)
     size_t num_records;
+    bool base;  // F(0, s) or a merged chain: not charged to R_delta
   };
 
   using ChainKey = std::pair<int, Superstep>;  // (attr, superstep)
@@ -104,6 +100,11 @@ class VertexStore {
   VertexId num_vertices_;
   MergeStrategy strategy_;
   int merge_period_;
+  // Merge decisions, exported so the Fig-17 strategy comparison can
+  // report how often each policy fires (null without metrics).
+  Counter* merges_ = nullptr;
+  Counter* merge_skips_ = nullptr;
+  Histogram* merged_records_ = nullptr;
   Superstep max_superstep_ = -1;
   std::vector<AttrInfo> attrs_;
   std::map<ChainKey, std::vector<DeltaFile>> chains_;

@@ -1,7 +1,7 @@
 // Randomized property test of the dynamic graph store: after arbitrary
 // mutation sequences, every read (merged adjacency, degrees, edge
 // membership, delta scans) must agree with a plain in-memory model of
-// the same operations.
+// the same operations, at the latest snapshot and at the one before it.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -34,30 +34,15 @@ TEST_P(GraphStorePropertyTest, ReadsMatchModelAcrossSnapshots) {
                                                    &GlobalMetrics()))
                    .value();
 
-  for (Timestamp t = 1; t <= 6; ++t) {
-    // Random batch respecting the workload invariant.
-    std::vector<EdgeDelta> batch;
-    std::set<Edge> touched;
-    for (int i = 0; i < 20; ++i) {
-      Edge e{static_cast<VertexId>(rng.Uniform(n)),
-             static_cast<VertexId>(rng.Uniform(n))};
-      if (e.src == e.dst || touched.contains(e)) continue;
-      touched.insert(e);
-      if (model.contains(e)) {
-        batch.push_back({e, -1});
-        model.erase(e);
-      } else {
-        batch.push_back({e, +1});
-        model.insert(e);
-      }
-    }
-    ASSERT_TRUE(store->ApplyMutations(batch).ok());
-
-    // Merged adjacency, degree and membership agree with the model.
+  // Merged adjacency (both directions), degrees, membership and the edge
+  // count of snapshot `t` agree with `m`.
+  auto check_snapshot = [&](Timestamp t, const std::set<Edge>& m) {
     for (VertexId u = 0; u < n; ++u) {
       std::vector<VertexId> expected_out;
-      for (const Edge& e : model) {
+      std::vector<VertexId> expected_in;
+      for (const Edge& e : m) {
         if (e.src == u) expected_out.push_back(e.dst);
+        if (e.dst == u) expected_in.push_back(e.src);
       }
       std::vector<VertexId> actual;
       ASSERT_TRUE(store
@@ -66,19 +51,63 @@ TEST_P(GraphStorePropertyTest, ReadsMatchModelAcrossSnapshots) {
                       .ok());
       ASSERT_EQ(actual, expected_out) << "t=" << t << " u=" << u;
       EXPECT_EQ(store->Degree(u, t, Direction::kOut),
-                static_cast<int64_t>(expected_out.size()));
-
-      std::vector<VertexId> expected_in;
-      for (const Edge& e : model) {
-        if (e.dst == u) expected_in.push_back(e.src);
-      }
+                static_cast<int64_t>(expected_out.size()))
+          << "t=" << t << " u=" << u;
       ASSERT_TRUE(store
                       ->GetAdjacency(store->pool(), u, t, Direction::kIn,
                                      &actual)
                       .ok());
       ASSERT_EQ(actual, expected_in) << "t=" << t << " u=" << u;
+      EXPECT_EQ(store->Degree(u, t, Direction::kIn),
+                static_cast<int64_t>(expected_in.size()))
+          << "t=" << t << " u=" << u;
     }
-    EXPECT_EQ(store->num_edges(t), model.size());
+    EXPECT_EQ(store->num_edges(t), m.size()) << "t=" << t;
+    // Membership samples, from both ends of the edge.
+    for (int i = 0; i < 30; ++i) {
+      Edge e{static_cast<VertexId>(rng.Uniform(n)),
+             static_cast<VertexId>(rng.Uniform(n))};
+      auto has = store->HasEdge(store->pool(), e.src, e.dst, t,
+                                Direction::kOut);
+      ASSERT_TRUE(has.ok());
+      EXPECT_EQ(*has, m.contains(e)) << "t=" << t << " " << e;
+      has = store->HasEdge(store->pool(), e.dst, e.src, t, Direction::kIn);
+      ASSERT_TRUE(has.ok());
+      EXPECT_EQ(*has, m.contains(e)) << "t=" << t << " in " << e;
+    }
+  };
+
+  for (Timestamp t = 1; t <= 6; ++t) {
+    // Random batch respecting the workload invariant. Each batch first
+    // touches one pivot vertex both as a source and as a destination.
+    const std::set<Edge> prev_model = model;
+    std::vector<EdgeDelta> batch;
+    std::set<Edge> touched;
+    auto toggle = [&](Edge e) {
+      if (e.src == e.dst || touched.contains(e)) return;
+      touched.insert(e);
+      if (model.contains(e)) {
+        batch.push_back({e, -1});
+        model.erase(e);
+      } else {
+        batch.push_back({e, +1});
+        model.insert(e);
+      }
+    };
+    const VertexId pivot = static_cast<VertexId>(rng.Uniform(n));
+    auto other = [&] {
+      return static_cast<VertexId>((pivot + 1 + rng.Uniform(n - 1)) % n);
+    };
+    toggle({pivot, other()});
+    toggle({other(), pivot});
+    for (int i = 0; i < 20; ++i) {
+      toggle({static_cast<VertexId>(rng.Uniform(n)),
+              static_cast<VertexId>(rng.Uniform(n))});
+    }
+    ASSERT_TRUE(store->ApplyMutations(batch).ok());
+
+    check_snapshot(t, model);
+    check_snapshot(t - 1, prev_model);
 
     // The delta scan replays exactly the applied batch (sorted by src).
     std::vector<EdgeDelta> scanned;
@@ -98,16 +127,6 @@ TEST_P(GraphStorePropertyTest, ReadsMatchModelAcrossSnapshots) {
                 return a.edge < b.edge;
               });
     EXPECT_EQ(scanned, batch);
-
-    // Membership samples.
-    for (int i = 0; i < 30; ++i) {
-      Edge e{static_cast<VertexId>(rng.Uniform(n)),
-             static_cast<VertexId>(rng.Uniform(n))};
-      auto has = store->HasEdge(store->pool(), e.src, e.dst, t,
-                                Direction::kOut);
-      ASSERT_TRUE(has.ok());
-      EXPECT_EQ(*has, model.contains(e)) << e;
-    }
   }
 }
 

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
+
 #include "algos/programs.h"
 #include "algos/reference.h"
 #include "gen/rmat.h"
@@ -69,17 +71,34 @@ TEST(HarnessTest, LongRunTriangleCountStaysExact) {
   }
 }
 
+/// Long-run soak: hundreds of tiny WCC batches at 2 threads. The
+/// maintained components stay exact, and the storage work a batch causes
+/// (chain merges, bytes written) does not grow with the history behind it.
 TEST(HarnessTest, LongRunWccStaysExact) {
   const VertexId n = 1 << 8;
+  HarnessOptions options{.symmetric = true, .path = TempPath("longwcc")};
+  options.engine.num_threads = 2;
   auto harness_or = Harness::Create(
-      WccProgram(), n, GenerateRmatEdges(n, 3 << 8, {.seed = 4}),
-      {.symmetric = true, .path = TempPath("longwcc")});
+      WccProgram(), n, GenerateRmatEdges(n, 3 << 8, {.seed = 4}), options);
   ASSERT_TRUE(harness_or.ok());
   auto harness = std::move(harness_or).value();
   ASSERT_TRUE(harness->RunOneShot().ok());
   int comp = harness->engine().AttrIndex("comp");
-  for (int t = 1; t <= 15; ++t) {
-    ASSERT_TRUE(harness->Step(50, 0.5).ok());
+  MetricsRegistry& registry = harness->store().metrics()->registry();
+  Counter* merges = registry.counter("vertex_store.chain_merges");
+  Counter* written = registry.counter("io.write_bytes");
+  // Cumulative counter values after batch b (index 0: before batch 1).
+  std::vector<uint64_t> merges_at = {merges->value()};
+  std::vector<uint64_t> written_at = {written->value()};
+  std::vector<double> seconds;
+  constexpr int kBatches = 300;
+  for (int t = 1; t <= kBatches; ++t) {
+    Stopwatch watch;
+    ASSERT_TRUE(harness->Step(8, 0.5).ok()) << "t=" << t;
+    seconds.push_back(watch.ElapsedSeconds());
+    merges_at.push_back(merges->value());
+    written_at.push_back(written->value());
+    if (t % 50 != 0) continue;
     Csr csr = Csr::FromEdges(n, harness->StoredEdges());
     auto expected = RefWcc(csr);
     for (VertexId v = 0; v < n; ++v) {
@@ -88,6 +107,25 @@ TEST(HarnessTest, LongRunWccStaysExact) {
           << "t=" << t << " v=" << v;
     }
   }
+  // Per-batch rates over batches (from, to].
+  auto per_batch = [](const std::vector<uint64_t>& at, int from, int to) {
+    return static_cast<double>(at[to] - at[from]) / (to - from);
+  };
+  auto mean_ms = [&](int from, int to) {
+    double sum = 0;
+    for (int b = from; b < to; ++b) sum += seconds[b];
+    return 1e3 * sum / (to - from);
+  };
+  std::printf("merges/batch %.2f -> %.2f, MB written/batch %.3f -> %.3f, "
+              "ms/batch %.3f -> %.3f (batches 101-200 -> 201-300)\n",
+              per_batch(merges_at, 100, 200), per_batch(merges_at, 200, 300),
+              per_batch(written_at, 100, 200) / 1e6,
+              per_batch(written_at, 200, 300) / 1e6, mean_ms(100, 200),
+              mean_ms(200, 300));
+  EXPECT_LE(per_batch(merges_at, 200, 300),
+            1.2 * per_batch(merges_at, 100, 200));
+  EXPECT_LE(per_batch(written_at, 200, 300),
+            1.2 * per_batch(written_at, 100, 200));
 }
 
 }  // namespace
