@@ -60,9 +60,7 @@ Cell RunItg(const std::string& source, int scale, bool symmetric,
 /// walk-enumeration supersteps dominate; the |dG|=100 incremental steps
 /// are legitimately serial — their Δ-walks are tiny).
 struct ScalingRow {
-  double wall = 0;        ///< measured seconds
-  uint64_t busy = 0;      ///< sum over workers of in-task CPU nanos
-  uint64_t critical = 0;  ///< sum over pool batches of modeled makespan
+  double wall = 0;  ///< measured seconds
   uint64_t steals = 0;
   uint64_t tasks = 0;
 };
@@ -84,38 +82,22 @@ ScalingRow RunScaling(const std::string& source, int scale, bool symmetric,
                                          GenerateRmat(scale), options));
   CheckOk(harness->RunOneShot());
   const RunStats& st = harness->engine().last_stats();
-  return {st.seconds, st.busy_nanos, st.critical_nanos, st.steals,
-          st.parallel_tasks};
+  return {st.seconds, st.steals, st.parallel_tasks};
 }
 
-/// Thread scaling with the same time model as the distributed simulation
-/// (DESIGN.md §2): on a host with fewer cores than workers the measured
-/// wall time serializes all worker busy time (metered on the thread-CPU
-/// clock), so the k-core wall time is modeled by replacing the
-/// serialized busy sum with the critical path (per-batch Brent bound
-/// total/k + longest task, see ThreadPool::critical_nanos):
-///
-///   modeled(k) = wall(k) − (busy(k) − critical(k)) / 1e9
-///
-/// On a real k-core machine modeled(k) ≈ wall(k); on a single-core
-/// container it is the only observable scaling signal. Sequential phases
-/// (Update, delta overlays, replay) stay in full, so the model still
-/// charges Amdahl's serial fraction.
+/// Measured thread scaling: wall time at 1, 2 and 4 threads and the
+/// speedup over the 1-thread run. Sequential phases (Update, delta
+/// overlays, replay) run in full at every thread count, so the speedup
+/// includes Amdahl's serial fraction.
 void PrintScaling(const char* algo, const std::string& source, int scale,
                   bool symmetric, int fixed_supersteps) {
   double wall1 = 0;
   for (int threads : {1, 2, 4}) {
     ScalingRow row =
         RunScaling(source, scale, symmetric, fixed_supersteps, threads);
-    double modeled =
-        row.wall - static_cast<double>(row.busy - row.critical) / 1e9;
     if (threads == 1) wall1 = row.wall;
-    double balance =
-        row.critical > 0 ? static_cast<double>(row.busy) /
-                               (static_cast<double>(row.critical) * threads)
-                         : 1.0;
-    std::printf("%-6s %7d %9.4f %10.4f %9.2fx %8.2f %7llu %7llu\n", algo,
-                threads, row.wall, modeled, wall1 / modeled, balance,
+    std::printf("%-6s %7d %9.4f %9.2fx %7llu %7llu\n", algo, threads,
+                row.wall, wall1 / row.wall,
                 static_cast<unsigned long long>(row.steals),
                 static_cast<unsigned long long>(row.tasks));
   }
@@ -320,14 +302,12 @@ int Main() {
   }
 
   // Not a paper figure: intra-machine thread scaling of the parallel
-  // walk executor added on top of the paper's design. Wall seconds stay
-  // flat on a single-core container; the modeled column applies the
-  // critical-path time model documented on PrintScaling.
+  // walk executor added on top of the paper's design, measured in wall
+  // time (it cannot exceed the host's core count).
   std::printf("\n--- (g) Thread scaling, threads in {1,2,4} "
               "(one-shot, scale 16, window %d) ---\n", kScalingWindow);
-  std::printf("%-6s %7s %9s %10s %10s %8s %7s %7s\n", "algo", "threads",
-              "wall[s]", "modeled[s]", "speedup", "balance", "steals",
-              "tasks");
+  std::printf("%-6s %7s %9s %10s %7s %7s\n", "algo", "threads", "wall[s]",
+              "speedup", "steals", "tasks");
   PrintScaling("PR", QuantizedPageRankProgram(), 16, false, kSupersteps);
   PrintScaling("TC", TriangleCountProgram(), 16, true, -1);
 

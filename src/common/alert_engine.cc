@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cctype>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -12,6 +11,7 @@
 #include <utility>
 
 #include "common/flight_recorder.h"
+#include "common/json.h"
 #include "common/live_status.h"
 #include "common/logging.h"
 #include "common/telemetry_server.h"
@@ -61,35 +61,6 @@ bool ParseDurationMs(const std::string& token, uint64_t* out) {
   return true;
 }
 
-void AppendJson(const std::string& s, std::string* out) {
-  out->push_back('"');
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out->append("\\\"");
-        break;
-      case '\\':
-        out->append("\\\\");
-        break;
-      case '\n':
-        out->append("\\n");
-        break;
-      case '\t':
-        out->append("\\t");
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char hex[8];
-          std::snprintf(hex, sizeof(hex), "\\u%04x", c);
-          out->append(hex);
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-  out->push_back('"');
-}
-
 void AppendDouble(double v, std::string* out) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.9g", v);
@@ -130,17 +101,13 @@ void ForEachMatch(const Map& map, const Matcher& m, Fn fn) {
 }
 
 // Histogram bucket deltas between two snapshots, aggregated over every
-// series the matcher selects: (bucket lower bound -> count recorded in
-// the window). Counters only grow, so newer - older saturates at 0 only
-// when a series was removed and re-created mid-window.
-struct HistDelta {
-  uint64_t total = 0;
-  std::map<uint64_t, uint64_t> buckets;
-};
-
-HistDelta HistogramDelta(const MetricsRegistry::Snapshot& older,
-                         const MetricsRegistry::Snapshot& newer,
-                         const Matcher& m) {
+// series the matcher selects, as one snapshot of the samples recorded in
+// the window (its percentiles use the registry's shared rank rule).
+// Counters only grow, so newer - older saturates at 0 only when a series
+// was removed and re-created mid-window.
+MetricsRegistry::HistogramSnapshot HistogramDelta(
+    const MetricsRegistry::Snapshot& older,
+    const MetricsRegistry::Snapshot& newer, const Matcher& m) {
   std::map<uint64_t, int64_t> acc;
   ForEachMatch(newer.histograms, m,
                [&](const MetricsRegistry::HistogramSnapshot& h) {
@@ -154,44 +121,25 @@ HistDelta HistogramDelta(const MetricsRegistry::Snapshot& older,
                    acc[lower] -= static_cast<int64_t>(n);
                  }
                });
-  HistDelta out;
+  MetricsRegistry::HistogramSnapshot out;
   for (const auto& [lower, n] : acc) {
     if (n <= 0) continue;
-    out.buckets[lower] = static_cast<uint64_t>(n);
-    out.total += static_cast<uint64_t>(n);
+    out.buckets.emplace_back(lower, static_cast<uint64_t>(n));
+    out.count += static_cast<uint64_t>(n);
   }
   return out;
-}
-
-// Upper bound of the bucket holding the p-th percentile of the delta
-// (the same estimate Histogram::PercentileUpperBound makes over a full
-// histogram, here over a window's worth of samples).
-uint64_t DeltaPercentile(const HistDelta& d, double p) {
-  if (d.total == 0) return 0;
-  const double clamped = std::min(std::max(p, 0.0), 100.0);
-  uint64_t rank = static_cast<uint64_t>(
-      std::ceil(clamped / 100.0 * static_cast<double>(d.total)));
-  if (rank == 0) rank = 1;
-  uint64_t cumulative = 0;
-  uint64_t last = 0;
-  for (const auto& [lower, n] : d.buckets) {
-    cumulative += n;
-    last = lower;
-    if (cumulative >= rank) break;
-  }
-  return Histogram::BucketUpperBound(Histogram::BucketOf(last));
 }
 
 // Fraction of windowed samples whose entire bucket lies above the SLO
 // threshold (bucket lower bound > slo): the bucketed approximation of
 // "latency exceeded the SLO". 0 when the window holds no samples.
-double ErrorRatio(const HistDelta& d, double slo) {
-  if (d.total == 0) return 0.0;
+double ErrorRatio(const MetricsRegistry::HistogramSnapshot& d, double slo) {
+  if (d.count == 0) return 0.0;
   uint64_t errors = 0;
   for (const auto& [lower, n] : d.buckets) {
     if (static_cast<double>(lower) > slo) errors += n;
   }
-  return static_cast<double>(errors) / static_cast<double>(d.total);
+  return static_cast<double>(errors) / static_cast<double>(d.count);
 }
 
 bool Compare(double value, char op, bool or_equal, double threshold) {
@@ -600,11 +548,11 @@ std::string IncidentReporter::Capture(const std::string& reason,
   manifest.append("{\"seq\":").append(std::to_string(seq));
   manifest.append(",\"t_ms\":").append(std::to_string(now_ms));
   manifest.append(",\"reason\":");
-  AppendJson(reason, &manifest);
+  AppendJsonString(reason, &manifest);
   manifest.append(",\"severity\":");
-  AppendJson(severity, &manifest);
+  AppendJsonString(severity, &manifest);
   manifest.append(",\"detail\":");
-  AppendJson(detail, &manifest);
+  AppendJsonString(detail, &manifest);
   manifest.append(
       ",\"artifacts\":[\"flightrecorder.txt\",\"metrics.json\","
       "\"statusz.json\",\"timeseries.json\",\"profile.txt\"]}\n");
@@ -787,9 +735,10 @@ bool AlertEngine::EvalCondition(const AlertRule& rule, double* value) const {
 
     case AlertRule::Kind::kPercentile: {
       const HistorySample* base = baseline(rule.window_ms);
-      const HistDelta d = HistogramDelta(base->snap, newest.snap, m);
-      if (d.total == 0) return false;
-      *value = static_cast<double>(DeltaPercentile(d, rule.percentile));
+      const MetricsRegistry::HistogramSnapshot d =
+          HistogramDelta(base->snap, newest.snap, m);
+      if (d.count == 0) return false;
+      *value = static_cast<double>(d.PercentileUpperBound(rule.percentile));
       return Compare(*value, rule.op, rule.or_equal, rule.threshold);
     }
 
@@ -848,8 +797,9 @@ bool AlertEngine::EvalCondition(const AlertRule& rule, double* value) const {
       const double budget = 1.0 - rule.objective / 100.0;
       auto burn_over = [&](uint64_t window_ms) {
         const HistorySample* base = baseline(window_ms);
-        const HistDelta d = HistogramDelta(base->snap, newest.snap, m);
-        return ErrorRatio(d, rule.slo_value) / budget;
+        return ErrorRatio(HistogramDelta(base->snap, newest.snap, m),
+                          rule.slo_value) /
+               budget;
       };
       const double fast = burn_over(rule.fast_window_ms);
       const double slow = burn_over(rule.slow_window_ms);
@@ -1016,7 +966,7 @@ std::string AlertEngine::ToJson() const {
     if (!first) out.push_back(',');
     first = false;
     out.append("{\"name\":");
-    AppendJson(rs.rule.name, &out);
+    AppendJsonString(rs.rule.name, &out);
     out.append(",\"severity\":\"")
         .append(AlertSeverityName(rs.rule.severity));
     out.append("\",\"state\":\"").append(AlertStateName(rs.state));
@@ -1031,7 +981,7 @@ std::string AlertEngine::ToJson() const {
     out.append(",\"fires\":").append(std::to_string(rs.fires));
     out.append(",\"flaps\":").append(std::to_string(rs.flaps));
     out.append(",\"expr\":");
-    AppendJson(rs.rule.expr, &out);
+    AppendJsonString(rs.rule.expr, &out);
     out.push_back('}');
   }
   out.append("]}\n");

@@ -36,6 +36,8 @@ namespace itg {
 ///   rate(NAME) OP V       counter rate per second over `window`
 ///   pNN(NAME) OP V        histogram percentile over `window`, computed
 ///                         from the delta of two log-linear snapshots
+///                         with HistogramSnapshot::PercentileUpperBound,
+///                         the estimate run reports and /timeseriesz show
 ///                         (p50 / p99 / p99.9 ... anything in [0,100])
 ///   absent(NAME)          the metric does not exist in the registry
 ///   stale(NAME)           it exists but has not moved for `window`

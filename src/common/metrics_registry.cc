@@ -1,5 +1,7 @@
 #include "common/metrics_registry.h"
 
+#include "common/json.h"
+
 namespace itg {
 
 namespace {
@@ -15,12 +17,8 @@ T* GetOrCreate(std::map<std::string, std::unique_ptr<T>, std::less<>>* m,
 }
 
 void AppendJsonKey(const std::string& name, std::string* out) {
-  out->push_back('"');
-  for (char c : name) {
-    if (c == '"' || c == '\\') out->push_back('\\');
-    out->push_back(c);
-  }
-  out->append("\":");
+  AppendJsonString(name, out);
+  out->push_back(':');
 }
 
 // Index of the bucket holding rank `rank` within `total` samples walked

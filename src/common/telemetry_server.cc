@@ -13,41 +13,13 @@
 #include <utility>
 
 #include "common/alert_engine.h"
+#include "common/json.h"
 #include "common/logging.h"
 #include "common/wall_profiler.h"
 
 namespace itg {
 
 namespace {
-
-void AppendJson(const std::string& s, std::string* out) {
-  out->push_back('"');
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out->append("\\\"");
-        break;
-      case '\\':
-        out->append("\\\\");
-        break;
-      case '\n':
-        out->append("\\n");
-        break;
-      case '\t':
-        out->append("\\t");
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char hex[8];
-          std::snprintf(hex, sizeof(hex), "\\u%04x", c);
-          out->append(hex);
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-  out->push_back('"');
-}
 
 // Prometheus HELP text and label values escape `\` and newline (label
 // values additionally escape `"`; our le values never need it).
@@ -176,9 +148,9 @@ std::string RenderStatusz(const LiveStatus::Snapshot& live,
   std::string out;
   out.reserve(1 << 12);
   out.append("{\"query\":");
-  AppendJson(live.query, &out);
+  AppendJsonString(live.query, &out);
   out.append(",\"phase\":");
-  AppendJson(live.phase, &out);
+  AppendJsonString(live.phase, &out);
   out.append(",\"running\":").append(live.running ? "true" : "false");
   out.append(",\"in_superstep\":")
       .append(live.in_superstep ? "true" : "false");
@@ -258,7 +230,7 @@ std::string RenderStatusz(const LiveStatus::Snapshot& live,
       };
       if (!first_ctx) out.push_back(',');
       first_ctx = false;
-      AppendJson(ctx, &out);
+      AppendJsonString(ctx, &out);
       out.append(":{\"cpu_nanos\":").append(std::to_string(value));
       out.append(",\"pages_read\":")
           .append(std::to_string(
@@ -294,7 +266,7 @@ std::string RenderStatusz(const LiveStatus::Snapshot& live,
                                              ".peak_bytes");
     if (!first) out.push_back(',');
     first = false;
-    AppendJson(struct_name, &out);
+    AppendJsonString(struct_name, &out);
     out.append(":{\"bytes\":").append(std::to_string(value));
     out.append(",\"peak_bytes\":")
         .append(std::to_string(
@@ -488,7 +460,7 @@ TelemetryServer::Response TelemetryServer::Handle(
     for (const std::string& name : critical) {
       if (!first) resp.body.push_back(',');
       first = false;
-      AppendJson("alert firing: " + name, &resp.body);
+      AppendJsonString("alert firing: " + name, &resp.body);
     }
     resp.body.append("],\"stalls_total\":")
         .append(std::to_string(watchdog_.trips()));

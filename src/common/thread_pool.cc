@@ -10,9 +10,7 @@
 
 // The busy meters use ThreadCpuNanos (common/resource_scope.h) rather
 // than wall clock so that, on a host with fewer cores than workers, time
-// a worker spends descheduled inside a task is not billed as work — the
-// per-batch max over workers then models the parallel section's wall
-// time with one core per worker.
+// a worker spends descheduled inside a task is not billed as work.
 
 namespace itg {
 
@@ -23,7 +21,6 @@ ThreadPool::ThreadPool(int num_threads, Metrics* metrics)
     queues_.push_back(std::make_unique<WorkerQueue>());
   }
   batch_busy_.assign(static_cast<size_t>(num_threads_), 0);
-  batch_longest_.assign(static_cast<size_t>(num_threads_), 0);
   busy_nanos_.assign(static_cast<size_t>(num_threads_), 0);
   threads_.reserve(static_cast<size_t>(num_threads_ - 1));
   for (int w = 1; w < num_threads_; ++w) {
@@ -90,7 +87,6 @@ void ThreadPool::RunTasks(int w) {
   // intervals), and a null context costs nothing.
   ResourceScope resources(batch_ctx_);
   uint64_t busy = 0;
-  uint64_t longest = 0;
   while (true) {
     size_t task;
     if (!PopOwn(w, &task) && !StealTask(w, &task)) {
@@ -100,12 +96,9 @@ void ThreadPool::RunTasks(int w) {
     }
     const uint64_t cpu0 = ThreadCpuNanos();
     (*fn_)(task, w);
-    const uint64_t elapsed = ThreadCpuNanos() - cpu0;
-    busy += elapsed;
-    longest = std::max(longest, elapsed);
+    busy += ThreadCpuNanos() - cpu0;
   }
   batch_busy_[static_cast<size_t>(w)] = busy;
-  batch_longest_[static_cast<size_t>(w)] = longest;
 }
 
 void ThreadPool::WorkerLoop(int w) {
@@ -138,7 +131,6 @@ void ThreadPool::ParallelFor(size_t num_tasks, const TaskFn& fn) {
     for (size_t i = 0; i < num_tasks; ++i) fn(i, 0);
     uint64_t nanos = ThreadCpuNanos() - cpu0;
     caller_busy_nanos_ += nanos;
-    critical_nanos_ += nanos;
     if (metrics_ != nullptr) metrics_->AddCallerCpuNanos(nanos);
     return;
   }
@@ -146,7 +138,6 @@ void ThreadPool::ParallelFor(size_t num_tasks, const TaskFn& fn) {
   fn_ = &fn;
   batch_ctx_ = CurrentResourceContext();
   std::fill(batch_busy_.begin(), batch_busy_.end(), 0);
-  std::fill(batch_longest_.begin(), batch_longest_.end(), 0);
   const uint64_t steals0 = steals_.load(std::memory_order_relaxed);
 
   // Deal contiguous ranges: worker w owns tasks [w*chunk, ...), so
@@ -180,24 +171,13 @@ void ThreadPool::ParallelFor(size_t num_tasks, const TaskFn& fn) {
     done_cv_.wait(lock, [&] { return drained_ == num_threads_; });
   }
 
-  uint64_t total = 0;
-  uint64_t longest = 0;
   for (int w = 0; w < num_threads_; ++w) {
     uint64_t nanos = batch_busy_[static_cast<size_t>(w)];
     busy_nanos_[static_cast<size_t>(w)] += nanos;
-    total += nanos;
-    longest = std::max(longest, batch_longest_[static_cast<size_t>(w)]);
     if (metrics_ != nullptr && nanos > 0) {
       metrics_->AddThreadCpuNanos(w, nanos);
     }
   }
-  // Modeled batch makespan with one core per worker: Brent's bound
-  // T_k <= T_total/k + T_span (span = longest single task, tasks being
-  // independent) — achievable under greedy stealing, and immune to how
-  // the host OS happens to timeslice an oversubscribed pool. Capped at
-  // the serial time.
-  critical_nanos_ += std::min(
-      total, total / static_cast<uint64_t>(num_threads_) + longest);
   if (metrics_ != nullptr) {
     uint64_t stolen = steals_.load(std::memory_order_relaxed) - steals0;
     if (stolen > 0) metrics_->AddSteals(stolen);

@@ -9,6 +9,7 @@
 #include <mutex>
 
 #include "common/flight_recorder.h"
+#include "common/json.h"
 #include "common/logging.h"
 #include "common/metrics_registry.h"
 
@@ -91,35 +92,6 @@ uint64_t Epoch() {
 
 }  // namespace
 
-void AppendJsonString(const std::string& s, std::string* out) {
-  out->push_back('"');
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out->append("\\\"");
-        break;
-      case '\\':
-        out->append("\\\\");
-        break;
-      case '\n':
-        out->append("\\n");
-        break;
-      case '\t':
-        out->append("\\t");
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char hex[8];
-          std::snprintf(hex, sizeof(hex), "\\u%04x", c);
-          out->append(hex);
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-  out->push_back('"');
-}
-
 // Microseconds with nanosecond precision kept in the fraction.
 void AppendMicros(uint64_t nanos, std::string* out) {
   char buf[40];
@@ -195,7 +167,6 @@ void Emit(const TraceEvent& event, bool force_buffer) {
 
 }  // namespace internal_trace
 
-using internal_trace::AppendJsonString;
 using internal_trace::GetRegistry;
 using internal_trace::GetThreadBuffer;
 using internal_trace::Registry;

@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <cstring>
 #include <ctime>
+#include <functional>
 #include <thread>
 
 #include "common/digest.h"
@@ -52,39 +53,6 @@ bool IsVirtualAttr(const std::string& name) {
          name == "out_degree";
 }
 
-/// True when `expr` (or any sub-expression) reads accumulator state: an
-/// accumulator vertex attribute or an accumulator global. Such reads make
-/// walk evaluation depend on emission application order, which forbids
-/// the eval-then-replay parallel split.
-bool ExprReadsAccumulator(const lang::Expr& expr,
-                          const CompiledProgram& program) {
-  switch (expr.kind) {
-    case lang::Expr::Kind::kAttrRef:
-      if (expr.resolved_attr >= 0 &&
-          program.vertex_attrs[static_cast<size_t>(expr.resolved_attr)]
-              .type.is_accumulator) {
-        return true;
-      }
-      break;
-    case lang::Expr::Kind::kVarRef:
-      if (expr.var_kind == lang::VarKind::kGlobal &&
-          expr.resolved_index >= 0 &&
-          program.globals[static_cast<size_t>(expr.resolved_index)]
-              .type.is_accumulator) {
-        return true;
-      }
-      break;
-    default:
-      break;
-  }
-  for (const lang::ExprPtr& child : expr.children) {
-    if (child != nullptr && ExprReadsAccumulator(*child, program)) {
-      return true;
-    }
-  }
-  return false;
-}
-
 /// True when any statement in `body` assigns to a global variable. A
 /// vertex-sharded Update phase is safe only when every write lands in
 /// the current vertex's own cells; a global assignment makes the final
@@ -114,28 +82,6 @@ bool StmtsWriteGlobals(const std::vector<lang::StmtPtr>& body) {
 }
 
 }  // namespace
-
-bool Engine::ProgramParallelSafe(const CompiledProgram& program) {
-  for (const LevelSpec& level : program.traverse.levels) {
-    for (const lang::Expr* cond : level.general) {
-      if (cond != nullptr && ExprReadsAccumulator(*cond, program)) {
-        return false;
-      }
-    }
-  }
-  for (const Emission& e : program.traverse.emissions) {
-    for (const auto& [cond, expected] : e.guards) {
-      (void)expected;
-      if (cond != nullptr && ExprReadsAccumulator(*cond, program)) {
-        return false;
-      }
-    }
-    if (e.value != nullptr && ExprReadsAccumulator(*e.value, program)) {
-      return false;
-    }
-  }
-  return true;
-}
 
 Engine::Engine(DynamicGraphStore* store, const CompiledProgram* program,
                const EngineOptions& options)
@@ -178,7 +124,6 @@ Engine::Engine(DynamicGraphStore* store, const CompiledProgram* program,
   recompute_sets_.resize(static_cast<size_t>(n_attrs));
   monoid_marks_.resize(static_cast<size_t>(n_attrs));
   adj_stack_.resize(static_cast<size_t>(program_->walk_length()) + 2);
-  parallel_safe_ = ProgramParallelSafe(*program_);
   update_parallel_safe_ = !StmtsWriteGlobals(*program_->update_body);
   program_->RegisterOperators(&profile_);
   CacheProfileCells();
@@ -186,11 +131,13 @@ Engine::Engine(DynamicGraphStore* store, const CompiledProgram* program,
                      ? std::min(options_.num_threads,
                                 Metrics::kMaxTrackedThreads)
                      : ThreadPool::DefaultThreads();
+  for (int w = 1; w < num_threads_; ++w) {
+    workers_.push_back(std::make_unique<WalkEnumerator>(
+        program_, store_, store_->pool(),
+        WalkEnumerator::Options{options_.window_vertices,
+                                options_.multiway_intersection}));
+  }
   if (options_.lineage) {
-    // Provenance tagging hooks the sequential emission sink; force the
-    // byte-for-byte sequential path so every applied emission passes
-    // through it.
-    num_threads_ = 1;
     lineage_ = std::make_unique<LineageTracker>(store_->num_vertices());
   }
   InitGlobals(&cur_globals_);
@@ -407,33 +354,6 @@ double Engine::SimulatedDistributedSeconds() const {
   return worst;
 }
 
-Status Engine::PartitionedEnumerate(
-    const std::vector<VertexId>& starts,
-    const std::function<Status(const std::vector<VertexId>&)>& enumerate) {
-  if (options_.num_partitions <= 1) {
-    return enumerate(starts);
-  }
-  std::vector<std::vector<VertexId>> by_machine(
-      static_cast<size_t>(options_.num_partitions));
-  for (VertexId v : starts) {
-    by_machine[static_cast<size_t>(OwnerOf(v))].push_back(v);
-  }
-  for (int m = 0; m < options_.num_partitions; ++m) {
-    current_machine_ = m;
-    enumerator_.set_pool(machine_pools_[static_cast<size_t>(m)].get());
-    Stopwatch watch;
-    Status status = enumerate(by_machine[static_cast<size_t>(m)]);
-    machine_stats_[static_cast<size_t>(m)].seconds += watch.ElapsedSeconds();
-    if (!status.ok()) {
-      enumerator_.set_pool(store_->pool());
-      return status;
-    }
-  }
-  current_machine_ = 0;
-  enumerator_.set_pool(store_->pool());
-  return Status::OK();
-}
-
 bool Engine::IsMonoidScalar(int attr) const {
   const lang::Type& type = program_->vertex_attrs[attr].type;
   return type.is_accumulator && !lang::IsAbelianGroup(type.accm_op) &&
@@ -514,46 +434,6 @@ std::vector<VertexId> Engine::ActiveList(const ColumnSet& cols) const {
     if (col[v] != 0.0) active.push_back(v);
   }
   return active;
-}
-
-void Engine::ApplyEmission(const Emission& emission, const VertexId* row,
-                           int row_len, int mult, const ColumnSet& eval_cols,
-                           const std::vector<std::vector<double>>& eval_globals,
-                           Timestamp t) {
-  // All call sites pass elements of the program's emission vector, so the
-  // emission's index (for the cached profile cells) is positional.
-  const size_t ei = static_cast<size_t>(
-      &emission - program_->traverse.emissions.data());
-  gsa::OperatorCounters* map_cell =
-      ei < emission_map_cells_.size() ? emission_map_cells_[ei] : nullptr;
-  EvalContext ctx;
-  ctx.columns = &eval_cols;
-  ctx.globals = &eval_globals;
-  ctx.num_vertices = static_cast<double>(store_->num_vertices());
-  ctx.num_edges = static_cast<double>(store_->num_edges(t));
-  ctx.row = row;
-  ctx.row_len = row_len;
-  if (map_cell != nullptr) {
-    (mult > 0 ? map_cell->in_pos : map_cell->in_neg) += 1;
-    ctx.eval_counter = &map_cell->evals;
-  }
-  for (const auto& [cond, expected] : emission.guards) {
-    if (EvaluateBool(*cond, ctx) != expected) return;
-  }
-  std::array<double, kMaxAttrWidth> value{};
-  Evaluate(*emission.value, ctx, value.data());
-  if (map_cell != nullptr) {
-    (mult > 0 ? map_cell->out_pos : map_cell->out_neg) += 1;
-  }
-  const int value_width = emission.value->type.width;
-  std::array<double, kMaxAttrWidth> expanded{};
-  for (int i = 0; i < emission.width; ++i) {
-    expanded[static_cast<size_t>(i)] =
-        (value_width == 1) ? value[0] : value[static_cast<size_t>(i)];
-  }
-  const VertexId target =
-      emission.is_global ? 0 : row[emission.target_depth];
-  ApplyEmissionValue(emission, target, expanded.data(), mult);
 }
 
 void Engine::ApplyEmissionValue(const Emission& emission, VertexId target,
@@ -656,50 +536,197 @@ void Engine::ApplyEmissionValue(const Emission& emission, VertexId target,
 }
 
 // ---------------------------------------------------------------------------
-// Walk-job execution (sequential or thread-pooled)
+// Walk-job execution: evaluate every task, then replay it
 // ---------------------------------------------------------------------------
 
-WalkSink Engine::MakeApplySink(const WalkJob& job) {
-  if (lineage_ == nullptr) {
-    return [this, &job](const VertexId* row, int depth, int mult) {
-      if (depth < job.min_emit_depth) return;
-      for (const Emission& e : program_->traverse.emissions) {
-        if (e.stmt_depth != depth) continue;
-        if (job.monoid_only) {
-          if (e.is_global || !IsAccmMonoid(e.target)) continue;
-          const std::vector<uint8_t>& marks =
-              (*job.target_marks)[static_cast<size_t>(e.target)];
-          if (marks.empty() ||
-              !marks[static_cast<size_t>(row[e.target_depth])]) {
-            continue;
-          }
+void Engine::TaskBuffer::Reset(size_t num_emissions) {
+  status = Status::OK();
+  records.clear();
+  values.clear();
+  lineage.clear();
+  map_counters.assign(num_emissions, gsa::OperatorCounters{});
+  windows = 0;
+  edges = 0;
+  pruned = 0;
+  starts = 0;
+  levels.clear();
+}
+
+Status Engine::RunWalkJobs(const std::vector<WalkJob>& jobs) {
+  // Cut the jobs into tasks of one window block each — per machine when
+  // partitioned, since every machine enumerates its own starts. The task
+  // order (job-major, then machine, then block) is the replay order, and
+  // it is the order one enumerator would visit the blocks in.
+  const size_t block = static_cast<size_t>(options_.window_vertices);
+  const int machines = std::max(1, options_.num_partitions);
+  // Per-(job, machine) start lists; reserved up front because tasks
+  // point into it.
+  std::vector<std::vector<VertexId>> shares;
+  shares.reserve(machines > 1 ? jobs.size() * machines : 0);
+  std::vector<WalkTask> tasks;
+  for (const WalkJob& job : jobs) {
+    const double num_edges =
+        static_cast<double>(store_->num_edges(job.eval_t));
+    for (int m = 0; m < machines; ++m) {
+      const std::vector<VertexId>* starts = &job.starts;
+      if (machines > 1) {
+        std::vector<VertexId>& share = shares.emplace_back();
+        for (VertexId v : job.starts) {
+          if (OwnerOf(v) == m) share.push_back(v);
         }
-        ApplyEmission(e, row, depth + 1, job.mult_sign * mult, *job.eval_cols,
-                      *job.eval_globals, job.eval_t);
+        starts = &share;
       }
-    };
+      for (size_t b = 0; b < starts->size(); b += block) {
+        tasks.push_back({&job, starts, b, std::min(starts->size(), b + block),
+                         m, num_edges});
+      }
+    }
   }
-  // Lineage mode (sequential by construction): after each emission that
-  // actually applied (guards passed), the target absorbs the walk start's
-  // provenance set, plus the id of the delta edge the walk crossed when
-  // this is a q_es_p sub-query.
-  return [this, &job](const VertexId* row, int depth, int mult) {
-    if (depth < job.min_emit_depth) return;
-    for (const Emission& e : program_->traverse.emissions) {
-      if (e.stmt_depth != depth) continue;
-      if (job.monoid_only) {
-        if (e.is_global || !IsAccmMonoid(e.target)) continue;
-        const std::vector<uint8_t>& marks =
-            (*job.target_marks)[static_cast<size_t>(e.target)];
-        if (marks.empty() ||
-            !marks[static_cast<size_t>(row[e.target_depth])]) {
-          continue;
-        }
+  TraceSpan span("walk", "engine", static_cast<int64_t>(tasks.size()));
+  const size_t num_emissions = program_->traverse.emissions.size();
+
+  if (num_threads_ > 1 && machines == 1 && tasks.size() >= 2) {
+    // Workers only evaluate; the calling thread replays every buffer in
+    // task order, so accumulation order does not depend on scheduling.
+    if (pool_threads_ == nullptr) {
+      pool_threads_ =
+          std::make_unique<ThreadPool>(num_threads_, store_->metrics());
+    }
+    std::vector<TaskBuffer> buffers(tasks.size());
+    pool_threads_->ParallelFor(tasks.size(), [&](size_t ti, int w) {
+      buffers[ti].Reset(num_emissions);
+      EvalTask(tasks[ti],
+               w == 0 ? &enumerator_ : workers_[static_cast<size_t>(w - 1)]
+                                           .get(),
+               &buffers[ti]);
+    });
+    stats_.parallel_tasks += tasks.size();
+    TraceSpan accumulate_span("accumulate", "engine",
+                              static_cast<int64_t>(tasks.size()));
+    for (const TaskBuffer& buffer : buffers) {
+      ITG_RETURN_IF_ERROR(ReplayTask(buffer));
+    }
+    return Status::OK();
+  }
+
+  // Inline: evaluate one task into the reused buffer, then replay it, so
+  // at most one window block of records is ever buffered. A partitioned
+  // run enumerates each task through its machine's buffer pool and bills
+  // the task's time to that machine.
+  TaskBuffer buffer;
+  Status status;
+  for (const WalkTask& task : tasks) {
+    Stopwatch watch;
+    if (machines > 1) {
+      current_machine_ = task.machine;
+      enumerator_.set_pool(
+          machine_pools_[static_cast<size_t>(task.machine)].get());
+    }
+    buffer.Reset(num_emissions);
+    EvalTask(task, &enumerator_, &buffer);
+    {
+      TraceSpan accumulate_span("accumulate", "engine");
+      status = ReplayTask(buffer);
+    }
+    if (machines > 1) {
+      machine_stats_[static_cast<size_t>(task.machine)].seconds +=
+          watch.ElapsedSeconds();
+    }
+    if (!status.ok()) break;
+  }
+  current_machine_ = 0;
+  enumerator_.set_pool(store_->pool());
+  return status;
+}
+
+void Engine::EvalTask(const WalkTask& task, WalkEnumerator* we,
+                      TaskBuffer* out) const {
+  const WalkJob& job = *task.job;
+  const double n = static_cast<double>(store_->num_vertices());
+  we->SetEvalBase(job.eval_cols, job.eval_globals, n, task.num_edges);
+  EvalContext ctx;
+  ctx.columns = job.eval_cols;
+  ctx.globals = job.eval_globals;
+  ctx.num_vertices = n;
+  ctx.num_edges = task.num_edges;
+  const WalkSink sink = [&](const VertexId* row, int depth, int mult) {
+    EvalEmissions(job, row, depth, mult, &ctx, out);
+  };
+  // enumerator_ counts in place; a worker's counts are taken as deltas
+  // and folded in at replay.
+  const bool worker = we != &enumerator_;
+  const uint64_t windows0 = we->windows_loaded();
+  const uint64_t edges0 = we->edges_scanned();
+  const uint64_t pruned0 = we->walks_pruned();
+  const uint64_t starts0 = we->starts_enumerated();
+  std::vector<WalkEnumerator::LevelCounts> levels0;
+  if (worker) levels0 = we->level_counts();
+  const std::vector<VertexId> starts(
+      task.starts->begin() + static_cast<ptrdiff_t>(task.begin),
+      task.starts->begin() + static_cast<ptrdiff_t>(task.end));
+  out->status = we->Enumerate(starts, job.streams, job.current_t,
+                              job.previous_t, job.level_allow, job.max_depth,
+                              sink);
+  if (!worker) return;
+  out->windows = we->windows_loaded() - windows0;
+  out->edges = we->edges_scanned() - edges0;
+  out->pruned = we->walks_pruned() - pruned0;
+  out->starts = we->starts_enumerated() - starts0;
+  out->levels = we->level_counts();
+  for (size_t i = 0; i < out->levels.size() && i < levels0.size(); ++i) {
+    WalkEnumerator::LevelCounts& d = out->levels[i];
+    d.windows -= levels0[i].windows;
+    d.edges -= levels0[i].edges;
+    d.pruned -= levels0[i].pruned;
+    d.evals -= levels0[i].evals;
+    d.out_pos -= levels0[i].out_pos;
+    d.out_neg -= levels0[i].out_neg;
+    d.wall_nanos -= levels0[i].wall_nanos;
+  }
+}
+
+void Engine::EvalEmissions(const WalkJob& job, const VertexId* row,
+                           int depth, int mult, EvalContext* ctx,
+                           TaskBuffer* out) const {
+  if (depth < job.min_emit_depth) return;
+  const std::vector<Emission>& emissions = program_->traverse.emissions;
+  const int signed_mult = job.mult_sign * mult;
+  for (size_t ei = 0; ei < emissions.size(); ++ei) {
+    const Emission& e = emissions[ei];
+    if (e.stmt_depth != depth) continue;
+    if (job.monoid_only) {
+      if (e.is_global || !IsAccmMonoid(e.target)) continue;
+      const std::vector<uint8_t>& marks =
+          (*job.target_marks)[static_cast<size_t>(e.target)];
+      if (marks.empty() ||
+          !marks[static_cast<size_t>(row[e.target_depth])]) {
+        continue;
       }
-      const uint64_t applied0 = stats_.emissions_applied;
-      ApplyEmission(e, row, depth + 1, job.mult_sign * mult, *job.eval_cols,
-                    *job.eval_globals, job.eval_t);
-      if (e.is_global || stats_.emissions_applied == applied0) continue;
+    }
+    ctx->row = row;
+    ctx->row_len = depth + 1;
+    gsa::OperatorCounters& map_c = out->map_counters[ei];
+    (signed_mult > 0 ? map_c.in_pos : map_c.in_neg) += 1;
+    ctx->eval_counter = &map_c.evals;
+    bool pass = true;
+    for (const auto& [cond, expected] : e.guards) {
+      if (EvaluateBool(*cond, *ctx) != expected) {
+        pass = false;
+        break;
+      }
+    }
+    if (!pass) continue;
+    std::array<double, kMaxAttrWidth> value{};
+    Evaluate(*e.value, *ctx, value.data());
+    (signed_mult > 0 ? map_c.out_pos : map_c.out_neg) += 1;
+    out->records.push_back({static_cast<int>(ei), signed_mult,
+                            e.is_global ? 0 : row[e.target_depth]});
+    const int value_width = e.value->type.width;
+    for (int i = 0; i < e.width; ++i) {
+      out->values.push_back(value_width == 1 ? value[0]
+                                             : value[static_cast<size_t>(i)]);
+    }
+    if (lineage_ != nullptr) {
       int64_t delta_id = -1;
       if (job.delta_level > 0 && depth >= job.delta_level) {
         // The walk crossed ΔE between positions p-1 and p; translate the
@@ -712,254 +739,43 @@ WalkSink Engine::MakeApplySink(const WalkJob& job) {
                                 : Edge{row[p], row[p - 1]};
         delta_id = lineage_->DeltaEdgeId(stored);
       }
-      lineage_->OnEmission(row[0], row[e.target_depth], delta_id);
-    }
-  };
-}
-
-Status Engine::RunWalkJobs(const std::vector<WalkJob>& jobs) {
-  const size_t block = static_cast<size_t>(options_.window_vertices);
-  size_t num_tasks = 0;
-  for (const WalkJob& job : jobs) {
-    num_tasks += (job.starts.size() + block - 1) / block;
-  }
-  TraceSpan span("walk", "engine", static_cast<int64_t>(num_tasks));
-  // The parallel path requires: a pool worth waking, a program whose
-  // traverse-level expressions never read accumulator state (so walk
-  // evaluation commutes with emission application), and the plain
-  // single-machine mode (the distributed simulation times machines
-  // sequentially on purpose).
-  if (num_threads_ > 1 && parallel_safe_ && options_.num_partitions <= 1 &&
-      num_tasks >= 2) {
-    return RunWalkJobsParallel(jobs, num_tasks);
-  }
-  return RunWalkJobsSequential(jobs);
-}
-
-Status Engine::RunWalkJobsSequential(const std::vector<WalkJob>& jobs) {
-  const double n = static_cast<double>(store_->num_vertices());
-  for (const WalkJob& job : jobs) {
-    enumerator_.SetEvalBase(
-        job.eval_cols, job.eval_globals, n,
-        static_cast<double>(store_->num_edges(job.eval_t)));
-    WalkSink sink = MakeApplySink(job);
-    if (Tracer::enabled()) {
-      // The sequential path fuses Accumulate into the emission sink, so
-      // its span cannot be a contiguous interval; meter the sink and emit
-      // one synthesized span per job, anchored at the job start. The
-      // wrapper only exists while tracing so the fast path is unchanged.
-      uint64_t accumulate_nanos = 0;
-      WalkSink timed = [&](const VertexId* row, int depth, int mult) {
-        const uint64_t t0 = TraceNowNanos();
-        sink(row, depth, mult);
-        accumulate_nanos += TraceNowNanos() - t0;
-      };
-      const uint64_t job_start = TraceNowNanos();
-      ITG_RETURN_IF_ERROR(PartitionedEnumerate(
-          job.starts, [&](const std::vector<VertexId>& part) {
-            return enumerator_.Enumerate(part, job.streams, job.current_t,
-                                         job.previous_t, job.level_allow,
-                                         job.max_depth, timed);
-          }));
-      TraceCompleteEvent("accumulate", "engine", job_start, accumulate_nanos);
-      continue;
-    }
-    ITG_RETURN_IF_ERROR(PartitionedEnumerate(
-        job.starts, [&](const std::vector<VertexId>& part) {
-          return enumerator_.Enumerate(part, job.streams, job.current_t,
-                                       job.previous_t, job.level_allow,
-                                       job.max_depth, sink);
-        }));
-  }
-  return Status::OK();
-}
-
-Status Engine::RunWalkJobsParallel(const std::vector<WalkJob>& jobs,
-                                   size_t num_tasks) {
-  // Workers only *evaluate*: each task enumerates one window-sized block
-  // of one job's start list and logs (emission, target, mult, value)
-  // records. The calling thread then replays the records in task order —
-  // job-major, block-minor, which is exactly the order the sequential
-  // path applies them in, because Enumerate itself processes starts in
-  // window-sized blocks. Replay performs every accumulator mutation, so
-  // floating-point accumulation order (and hence the result) is
-  // bit-identical to threads=1.
-  struct EmissionRecord {
-    int emission;
-    int mult;
-    VertexId target;
-  };
-  struct TaskResult {
-    Status status;
-    std::vector<EmissionRecord> records;
-    std::vector<double> values;  // emission.width doubles per record
-    uint64_t windows = 0;
-    uint64_t edges = 0;
-    uint64_t pruned = 0;
-    // EXPLAIN ANALYZE: per-emission Map counters (guard/value evals and
-    // tuple in/out) and per-level walk counters, evaluated on the worker
-    // and folded in on the calling thread. Integer sums are order-
-    // independent, so the merged profile matches the sequential path.
-    std::vector<gsa::OperatorCounters> map_counters;
-    std::vector<WalkEnumerator::LevelCounts> levels;
-    uint64_t starts = 0;
-  };
-  struct TaskSpec {
-    size_t job;
-    size_t begin;
-    size_t end;
-  };
-
-  if (pool_threads_ == nullptr) {
-    pool_threads_ =
-        std::make_unique<ThreadPool>(num_threads_, store_->metrics());
-  }
-
-  const double n = static_cast<double>(store_->num_vertices());
-  const size_t block = static_cast<size_t>(options_.window_vertices);
-  std::vector<TaskSpec> tasks;
-  tasks.reserve(num_tasks);
-  std::vector<double> job_num_edges(jobs.size(), 0.0);
-  for (size_t j = 0; j < jobs.size(); ++j) {
-    job_num_edges[j] =
-        static_cast<double>(store_->num_edges(jobs[j].eval_t));
-    for (size_t b = 0; b < jobs[j].starts.size(); b += block) {
-      tasks.push_back({j, b, std::min(jobs[j].starts.size(), b + block)});
+      out->lineage.push_back({row[0], delta_id});
     }
   }
-  std::vector<TaskResult> results(tasks.size());
+}
 
-  // Per-worker enumerators share the (internally locked) buffer pool but
-  // keep private windows and counters.
-  std::vector<std::unique_ptr<WalkEnumerator>> workers;
-  workers.reserve(static_cast<size_t>(num_threads_));
-  for (int w = 0; w < num_threads_; ++w) {
-    workers.push_back(std::make_unique<WalkEnumerator>(
-        program_, store_, store_->pool(),
-        WalkEnumerator::Options{options_.window_vertices,
-                                options_.multiway_intersection}));
-  }
-
+Status Engine::ReplayTask(const TaskBuffer& buffer) {
   const std::vector<Emission>& emissions = program_->traverse.emissions;
-  pool_threads_->ParallelFor(tasks.size(), [&](size_t ti, int w) {
-    const TaskSpec& spec = tasks[ti];
-    const WalkJob& job = jobs[spec.job];
-    TaskResult& out = results[ti];
-    out.map_counters.resize(emissions.size());
-    WalkEnumerator& we = *workers[static_cast<size_t>(w)];
-    we.SetEvalBase(job.eval_cols, job.eval_globals, n,
-                   job_num_edges[spec.job]);
-    EvalContext ctx;
-    ctx.columns = job.eval_cols;
-    ctx.globals = job.eval_globals;
-    ctx.num_vertices = n;
-    ctx.num_edges = job_num_edges[spec.job];
-    WalkSink sink = [&](const VertexId* row, int depth, int mult) {
-      if (depth < job.min_emit_depth) return;
-      for (size_t ei = 0; ei < emissions.size(); ++ei) {
-        const Emission& e = emissions[ei];
-        if (e.stmt_depth != depth) continue;
-        if (job.monoid_only) {
-          if (e.is_global || !IsAccmMonoid(e.target)) continue;
-          const std::vector<uint8_t>& marks =
-              (*job.target_marks)[static_cast<size_t>(e.target)];
-          if (marks.empty() ||
-              !marks[static_cast<size_t>(row[e.target_depth])]) {
-            continue;
-          }
-        }
-        ctx.row = row;
-        ctx.row_len = depth + 1;
-        gsa::OperatorCounters& map_c = out.map_counters[ei];
-        const int signed_mult = job.mult_sign * mult;
-        (signed_mult > 0 ? map_c.in_pos : map_c.in_neg) += 1;
-        ctx.eval_counter = &map_c.evals;
-        bool pass = true;
-        for (const auto& [cond, expected] : e.guards) {
-          if (EvaluateBool(*cond, ctx) != expected) {
-            pass = false;
-            break;
-          }
-        }
-        if (!pass) continue;
-        std::array<double, kMaxAttrWidth> value{};
-        Evaluate(*e.value, ctx, value.data());
-        (signed_mult > 0 ? map_c.out_pos : map_c.out_neg) += 1;
-        const int vw = e.value->type.width;
-        out.records.push_back({static_cast<int>(ei), job.mult_sign * mult,
-                               e.is_global ? 0 : row[e.target_depth]});
-        for (int i = 0; i < e.width; ++i) {
-          out.values.push_back(vw == 1 ? value[0]
-                                       : value[static_cast<size_t>(i)]);
-        }
-      }
-    };
-    const uint64_t windows0 = we.windows_loaded();
-    const uint64_t edges0 = we.edges_scanned();
-    const uint64_t pruned0 = we.walks_pruned();
-    const uint64_t starts0 = we.starts_enumerated();
-    const std::vector<WalkEnumerator::LevelCounts> levels0 =
-        we.level_counts();
-    std::vector<VertexId> task_starts(
-        job.starts.begin() + static_cast<ptrdiff_t>(spec.begin),
-        job.starts.begin() + static_cast<ptrdiff_t>(spec.end));
-    out.status = we.Enumerate(task_starts, job.streams, job.current_t,
-                              job.previous_t, job.level_allow,
-                              job.max_depth, sink);
-    out.windows = we.windows_loaded() - windows0;
-    out.edges = we.edges_scanned() - edges0;
-    out.pruned = we.walks_pruned() - pruned0;
-    out.starts = we.starts_enumerated() - starts0;
-    out.levels = we.level_counts();
-    for (size_t i = 0; i < out.levels.size() && i < levels0.size(); ++i) {
-      out.levels[i].windows -= levels0[i].windows;
-      out.levels[i].edges -= levels0[i].edges;
-      out.levels[i].pruned -= levels0[i].pruned;
-      out.levels[i].evals -= levels0[i].evals;
-      out.levels[i].out_pos -= levels0[i].out_pos;
-      out.levels[i].out_neg -= levels0[i].out_neg;
-      out.levels[i].wall_nanos -= levels0[i].wall_nanos;
+  const double* vp = buffer.values.data();
+  for (size_t i = 0; i < buffer.records.size(); ++i) {
+    const EmissionRecord& rec = buffer.records[i];
+    const Emission& e = emissions[static_cast<size_t>(rec.emission)];
+    ApplyEmissionValue(e, rec.target, vp, rec.mult);
+    vp += e.width;
+    if (lineage_ != nullptr && !e.is_global) {
+      // The target absorbs the walk start's provenance set, plus the id
+      // of the delta edge the walk crossed.
+      lineage_->OnEmission(buffer.lineage[i].start, rec.target,
+                           buffer.lineage[i].delta_id);
     }
-  });
-
-  stats_.parallel_tasks += tasks.size();
-
-  TraceSpan accumulate_span("accumulate", "engine",
-                            static_cast<int64_t>(tasks.size()));
-  for (size_t ti = 0; ti < tasks.size(); ++ti) {
-    const TaskResult& r = results[ti];
-    const double* vp = r.values.data();
-    for (const EmissionRecord& rec : r.records) {
-      const Emission& e = emissions[static_cast<size_t>(rec.emission)];
-      ApplyEmissionValue(e, rec.target, vp, rec.mult);
-      vp += e.width;
-    }
-    enumerator_.AddCounts(r.windows, r.edges, r.pruned);
-    enumerator_.AddLevelCounts(r.levels, r.starts);
-    for (size_t ei = 0; ei < r.map_counters.size(); ++ei) {
-      if (ei < emission_map_cells_.size() &&
-          emission_map_cells_[ei] != nullptr) {
-        emission_map_cells_[ei]->Merge(r.map_counters[ei]);
-      }
-    }
-    // A failing task aborts after its own partial records, mirroring the
-    // sequential path's mid-stream error behavior.
-    if (!r.status.ok()) return r.status;
   }
-  return Status::OK();
+  enumerator_.AddCounts(buffer.windows, buffer.edges, buffer.pruned);
+  enumerator_.AddLevelCounts(buffer.levels, buffer.starts);
+  for (size_t ei = 0; ei < buffer.map_counters.size(); ++ei) {
+    if (emission_map_cells_[ei] != nullptr) {
+      emission_map_cells_[ei]->Merge(buffer.map_counters[ei]);
+    }
+  }
+  // A failing task aborts after its own partial records.
+  return buffer.status;
 }
 
-void Engine::FillThreadStats(uint64_t steals0, uint64_t busy0,
-                             uint64_t crit0) {
-  stats_.threads = (num_threads_ > 1 &&
-                    (parallel_safe_ || update_parallel_safe_) &&
-                    options_.num_partitions <= 1)
-                       ? num_threads_
-                       : 1;
+void Engine::FillThreadStats(uint64_t steals0, uint64_t busy0) {
+  stats_.threads =
+      (num_threads_ > 1 && options_.num_partitions <= 1) ? num_threads_ : 1;
   if (pool_threads_ != nullptr) {
     stats_.steals = pool_threads_->steals() - steals0;
     stats_.busy_nanos = pool_threads_->total_busy_nanos() - busy0;
-    stats_.critical_nanos = pool_threads_->critical_nanos() - crit0;
   }
 }
 
@@ -1129,7 +945,6 @@ Status Engine::RunOneShot(Timestamp t) {
   const uint64_t pruned0 = enumerator_.walks_pruned();
   const uint64_t steals0 = pool_threads_ ? pool_threads_->steals() : 0;
   const uint64_t busy0 = pool_threads_ ? pool_threads_->total_busy_nanos() : 0;
-  const uint64_t crit0 = pool_threads_ ? pool_threads_->critical_nanos() : 0;
   profile_.ResetCounters();
   const std::vector<WalkEnumerator::LevelCounts> walk_base =
       enumerator_.level_counts();
@@ -1230,7 +1045,7 @@ Status Engine::RunOneShot(Timestamp t) {
   stats_.seconds = watch.ElapsedSeconds();
   stats_.read_bytes = metrics.read_bytes() - read0;
   stats_.write_bytes = metrics.write_bytes() - write0;
-  FillThreadStats(steals0, busy0, crit0);
+  FillThreadStats(steals0, busy0);
   return Status::OK();
 }
 
@@ -1267,7 +1082,6 @@ Status Engine::RunIncremental(Timestamp t) {
   const uint64_t pruned0 = enumerator_.walks_pruned();
   const uint64_t steals0 = pool_threads_ ? pool_threads_->steals() : 0;
   const uint64_t busy0 = pool_threads_ ? pool_threads_->total_busy_nanos() : 0;
-  const uint64_t crit0 = pool_threads_ ? pool_threads_->critical_nanos() : 0;
   profile_.ResetCounters();
   const std::vector<WalkEnumerator::LevelCounts> walk_base =
       enumerator_.level_counts();
@@ -1513,7 +1327,7 @@ Status Engine::RunIncremental(Timestamp t) {
   stats_.seconds = watch.ElapsedSeconds();
   stats_.read_bytes = metrics.read_bytes() - read0;
   stats_.write_bytes = metrics.write_bytes() - write0;
-  FillThreadStats(steals0, busy0, crit0);
+  FillThreadStats(steals0, busy0);
   return Status::OK();
 }
 
@@ -1533,8 +1347,8 @@ Status Engine::RunDeltaTraverse(Timestamp t, Superstep s,
   // Pass A retracts the old contributions (old attribute values, old
   // activation) with multiplicity −1; pass B asserts the new ones. Both
   // are queued as one batch: retraction only writes accumulator state,
-  // which parallel-safe programs never read during evaluation, and the
-  // replay applies all of A before any of B in sequential order.
+  // which Traverse never reads (accumulators are write-only outside
+  // Update), and the replay applies all of A before any of B.
   {
     std::vector<LevelStream> streams(static_cast<size_t>(k),
                                      LevelStream::kPrevious);
@@ -1748,6 +1562,13 @@ Status Engine::RunAnchoredClosing(Timestamp t, int p) {
   ctx.globals = &cur_globals_;
   ctx.num_vertices = static_cast<double>(n);
   ctx.num_edges = static_cast<double>(store_->num_edges(t));
+  // Closing walks cross ΔE at level k; their emissions are recorded into
+  // one buffer and replayed after the scan.
+  WalkJob job;
+  job.min_emit_depth = k;
+  job.delta_level = k;
+  TaskBuffer buffer;
+  buffer.Reset(program_->traverse.emissions.size());
 
   // EXPLAIN ANALYZE attribution: the anchored plan bypasses the walk
   // enumerator, so its edge probes and predicate evaluations are charged
@@ -1820,22 +1641,7 @@ Status Engine::RunAnchoredClosing(Timestamp t, int p) {
             if (last_cell != nullptr) {
               (m > 0 ? last_cell->out_pos : last_cell->out_neg) += 1;
             }
-            for (const Emission& em : program_->traverse.emissions) {
-              if (em.stmt_depth != k) continue;
-              const uint64_t applied0 = stats_.emissions_applied;
-              ApplyEmission(em, row.data(), k + 1, m, cur_cols_,
-                            cur_globals_, t);
-              if (lineage_ != nullptr && !em.is_global &&
-                  stats_.emissions_applied != applied0) {
-                // ScanDeltas(kIn) pre-flips edges to traversal
-                // orientation; flip back for the stored-edge lookup.
-                const Edge stored = (delta_dir == Direction::kOut)
-                                        ? Edge{a, b}
-                                        : Edge{b, a};
-                lineage_->OnEmission(row[0], row[em.target_depth],
-                                     lineage_->DeltaEdgeId(stored));
-              }
-            }
+            EvalEmissions(job, row.data(), k, m, &ctx, &buffer);
             return;
           }
           const LevelSpec& level = program_->traverse.levels[depth - 1];
@@ -1873,7 +1679,9 @@ Status Engine::RunAnchoredClosing(Timestamp t, int p) {
         extend(1);
       });
   ITG_RETURN_IF_ERROR(scan_status);
-  return status;
+  ITG_RETURN_IF_ERROR(status);
+  TraceSpan accumulate_span("accumulate", "engine");
+  return ReplayTask(buffer);
 }
 
 Status Engine::RunMonoidRecompute(Timestamp t, Superstep s) {

@@ -1,7 +1,6 @@
 #ifndef ITG_ENGINE_ENGINE_H_
 #define ITG_ENGINE_ENGINE_H_
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <unordered_set>
@@ -49,10 +48,10 @@ struct EngineOptions {
   double network_bytes_per_second = 1.0e9;
   /// Worker threads for intra-machine parallel walk enumeration
   /// (§6.2 "in parallel for non-conflicting walks"). 0 = the ITG_THREADS
-  /// env var, else hardware_concurrency(). 1 disables the pool and runs
-  /// the byte-for-byte sequential path. Ignored (forced sequential) when
-  /// num_partitions > 1 or the program reads accumulator state inside
-  /// Traverse (see ARCHITECTURE.md, "Threading model").
+  /// env var, else hardware_concurrency(). 1 disables the pool: the
+  /// calling thread evaluates and replays every walk task itself. Ignored
+  /// (one thread) when num_partitions > 1 (see ARCHITECTURE.md,
+  /// "Threading model").
   int num_threads = 0;
   /// Test hook for the stall watchdog: sleep this long inside the first
   /// superstep of every run. The sleep is observation-neutral (no work
@@ -63,9 +62,7 @@ struct EngineOptions {
   /// Observation-only — no work counter or accumulator moves.
   bool digest_per_superstep = false;
   /// Opt-in Δ-record provenance: track a bounded set of contributing
-  /// input-mutation ids per vertex (see engine/lineage.h). Forces the
-  /// sequential walk path so every applied emission passes through the
-  /// tagging sink.
+  /// input-mutation ids per vertex (see engine/lineage.h).
   bool lineage = false;
   /// Drift-injection test hooks (audit_smoke): during
   /// RunIncremental(debug_corrupt_timestamp), superstep 0, add
@@ -110,8 +107,8 @@ struct RunStats {
   double seconds = 0;
   uint64_t read_bytes = 0;
   uint64_t write_bytes = 0;
-  /// Worker threads the run was allowed to use (1 when the program or
-  /// configuration forces the sequential path).
+  /// Worker threads the run was allowed to use (1 when single-threaded
+  /// or partitioned).
   int threads = 1;
   /// Walk-shard tasks executed through the thread pool.
   uint64_t parallel_tasks = 0;
@@ -119,10 +116,6 @@ struct RunStats {
   uint64_t steals = 0;
   /// Sum over workers of time spent inside pool tasks.
   uint64_t busy_nanos = 0;
-  /// Sum over pool batches of the modeled makespan (Brent's bound,
-  /// see ThreadPool::critical_nanos): the wall time of the parallel
-  /// sections with one core per worker.
-  uint64_t critical_nanos = 0;
   /// Order-independent digest of the audited attribute columns at the
   /// end of the run (Engine::ComputeStateDigest). Deterministic across
   /// thread counts; a state fingerprint, not a work counter.
@@ -219,28 +212,20 @@ class Engine {
   std::vector<VertexId> ActiveList(const ColumnSet& cols) const;
   void InitGlobals(std::vector<std::vector<double>>* globals);
 
-  /// Applies one emission occurrence (value evaluated against
-  /// `eval_cols`/`eval_globals`) onto the *current* accumulator state,
-  /// implementing incremental Accumulate (§5.4): Abelian-group inverse on
-  /// deletions, support counting / recompute marking for monoids.
-  void ApplyEmission(const Emission& emission, const VertexId* row,
-                     int row_len, int mult, const ColumnSet& eval_cols,
-                     const std::vector<std::vector<double>>& eval_globals,
-                     Timestamp t);
-
-  /// The accumulate half of ApplyEmission: applies an already-evaluated
-  /// value (expanded to `emission.width` doubles) onto the current
-  /// accumulator state. The parallel path evaluates values on worker
-  /// threads and replays them through this in sequential emission order,
-  /// so floating-point accumulation order is bit-identical to threads=1.
+  /// Applies one evaluated emission (value expanded to `emission.width`
+  /// doubles) onto the *current* accumulator state, implementing
+  /// incremental Accumulate (§5.4): Abelian-group inverse on deletions,
+  /// support counting / recompute marking for monoids. Only ReplayTask
+  /// calls it, in task order, so floating-point accumulation order is the
+  /// same at every thread count.
   void ApplyEmissionValue(const Emission& emission, VertexId target,
                           const double* values, int mult);
 
   // ---- walk-job execution ----------------------------------------------
   /// One enumeration request of a superstep: a start set walked over a
-  /// fixed stream assignment with emissions applied against one snapshot's
-  /// evaluation state. Supersteps queue jobs and run them as a batch so
-  /// the parallel path can shard all of them at once.
+  /// fixed stream assignment with emissions evaluated against one
+  /// snapshot's state. Supersteps queue jobs and run them as a batch so
+  /// the pool can shard all of them at once.
   struct WalkJob {
     std::vector<VertexId> starts;
     std::vector<LevelStream> streams;
@@ -258,27 +243,75 @@ class Engine {
     const std::vector<std::vector<uint8_t>>* target_marks = nullptr;
     const ColumnSet* eval_cols = nullptr;
     const std::vector<std::vector<double>>* eval_globals = nullptr;
-    /// Snapshot whose |E| feeds the eval context and ApplyEmission.
+    /// Snapshot whose |E| feeds the eval context.
     Timestamp eval_t = 0;
     Timestamp current_t = 0;
     Timestamp previous_t = 0;
   };
 
-  /// Runs a batch of jobs: sequentially (exactly the pre-parallel code
-  /// path, including the distributed simulation) or sharded over the
-  /// thread pool with deterministic replay (see ARCHITECTURE.md).
+  /// One window block of one job's starts (of one machine's share of
+  /// them when partitioned): the unit of evaluation and of replay.
+  struct WalkTask {
+    const WalkJob* job = nullptr;
+    const std::vector<VertexId>* starts = nullptr;
+    size_t begin = 0;
+    size_t end = 0;
+    int machine = 0;
+    double num_edges = 0;  // |E| at job->eval_t
+  };
+  /// One evaluated emission, applied at replay.
+  struct EmissionRecord {
+    int emission;
+    int mult;
+    VertexId target;
+  };
+  /// Lineage mode only: the walk start and the crossed delta-edge id of
+  /// the record at the same index (-1 when no delta edge was crossed).
+  struct LineageTag {
+    VertexId start;
+    int64_t delta_id;
+  };
+  /// Everything evaluating one task produced, replayed by ReplayTask.
+  struct TaskBuffer {
+    Status status;
+    std::vector<EmissionRecord> records;
+    std::vector<double> values;  // emission.width doubles per record
+    std::vector<LineageTag> lineage;
+    // EXPLAIN ANALYZE Map counters, one per emission.
+    std::vector<gsa::OperatorCounters> map_counters;
+    // Walk counters a worker enumerator gathered for this task (zero
+    // when the task ran on enumerator_, which counts in place).
+    uint64_t windows = 0;
+    uint64_t edges = 0;
+    uint64_t pruned = 0;
+    uint64_t starts = 0;
+    std::vector<WalkEnumerator::LevelCounts> levels;
+
+    void Reset(size_t num_emissions);
+  };
+
+  /// Runs a batch of jobs: cuts them into tasks, evaluates every task
+  /// into a TaskBuffer and replays the buffers in task order (job-major,
+  /// block-minor). The pool evaluates when it has two or more tasks of an
+  /// unpartitioned run; otherwise the caller evaluates and replays task
+  /// by task (see ARCHITECTURE.md, "Threading model").
   Status RunWalkJobs(const std::vector<WalkJob>& jobs);
-  Status RunWalkJobsSequential(const std::vector<WalkJob>& jobs);
-  Status RunWalkJobsParallel(const std::vector<WalkJob>& jobs,
-                             size_t num_tasks);
-  WalkSink MakeApplySink(const WalkJob& job);
-  /// True when no traverse-level expression (level predicate, emission
-  /// guard or value) reads accumulator state — the condition under which
-  /// walk evaluation commutes with emission application.
-  static bool ProgramParallelSafe(const CompiledProgram& program);
+  /// Enumerates one task's walks on `we` into `out`.
+  void EvalTask(const WalkTask& task, WalkEnumerator* we,
+                TaskBuffer* out) const;
+  /// The one emission evaluator: for the walk prefix `row[0..depth]`,
+  /// filters the program's emissions by depth, the job's min_emit_depth
+  /// and monoid marks, checks guards, evaluates and widens the value, and
+  /// appends a record to `out` (plus a LineageTag in lineage mode).
+  /// Thread-safe: reads only evaluation state, never accumulators.
+  void EvalEmissions(const WalkJob& job, const VertexId* row, int depth,
+                     int mult, EvalContext* ctx, TaskBuffer* out) const;
+  /// Applies a task's records in order, feeds lineage, folds the task's
+  /// counters into the run's, and returns the task's status.
+  Status ReplayTask(const TaskBuffer& buffer);
   /// Fills the thread-scaling fields of stats_ from the pool's cumulative
   /// counters (deltas against the given run-start baselines).
-  void FillThreadStats(uint64_t steals0, uint64_t busy0, uint64_t crit0);
+  void FillThreadStats(uint64_t steals0, uint64_t busy0);
 
   // ---- EXPLAIN ANALYZE recording ---------------------------------------
   /// Re-resolves the cached per-operator counter cells (map-node addresses
@@ -363,15 +396,21 @@ class Engine {
   DynamicGraphStore* store_;
   const CompiledProgram* program_;
   EngineOptions options_;
+  // The calling thread's enumerator (inline tasks, and worker 0 of pool
+  // batches). It also holds the run's walk counters: the other workers'
+  // counts are folded into it at replay.
   WalkEnumerator enumerator_;
 
   // ---- intra-machine parallelism ---------------------------------------
-  bool parallel_safe_ = false;
   // Update bodies with no global assignment write disjoint per-vertex
   // cells, so the Update phase can shard over vertices directly.
   bool update_parallel_safe_ = false;
   int num_threads_ = 1;
   std::unique_ptr<ThreadPool> pool_threads_;  // lazily created
+  // Enumerators of pool workers 1..num_threads_-1 (worker 0 is the caller
+  // and uses enumerator_). They share the internally locked buffer pool
+  // but keep private windows and counters.
+  std::vector<std::unique_ptr<WalkEnumerator>> workers_;
 
   std::vector<int> all_widths_;       // program + hidden columns
   int contribs_attr_ = -1;            // hidden: per-vertex contribution count
@@ -396,11 +435,6 @@ class Engine {
   int OwnerOf(VertexId v) const {
     return static_cast<int>(v % options_.num_partitions);
   }
-  /// Runs `enumerate(starts_subset)` once per machine with that machine's
-  /// pool and stopwatch (identity pass-through when num_partitions == 1).
-  Status PartitionedEnumerate(
-      const std::vector<VertexId>& starts,
-      const std::function<Status(const std::vector<VertexId>&)>& enumerate);
   void ResetMachineStats();
 
   std::vector<std::unique_ptr<BufferPool>> machine_pools_;

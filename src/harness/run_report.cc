@@ -5,32 +5,12 @@
 #include <fstream>
 
 #include "common/metrics.h"
+#include "common/json.h"
 #include "common/metrics_registry.h"
 
 namespace itg {
 
 namespace {
-
-void AppendJsonString(std::string* out, const std::string& s) {
-  out->push_back('"');
-  for (char c : s) {
-    switch (c) {
-      case '"': out->append("\\\""); break;
-      case '\\': out->append("\\\\"); break;
-      case '\n': out->append("\\n"); break;
-      case '\t': out->append("\\t"); break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out->append(buf);
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-  out->push_back('"');
-}
 
 void AppendDouble(std::string* out, double v) {
   char buf[32];
@@ -40,7 +20,7 @@ void AppendDouble(std::string* out, double v) {
 
 void AppendField(std::string* out, const char* key, uint64_t v,
                  bool trailing_comma = true) {
-  AppendJsonString(out, key);
+  AppendJsonString(key, out);
   out->push_back(':');
   char buf[24];
   std::snprintf(buf, sizeof(buf), "%" PRIu64, v);
@@ -69,8 +49,8 @@ void RunReport::AddResult(const std::string& name, double value) {
 std::string RunReport::ToJson() const {
   std::string out;
   out.reserve(4096);
-  out.append("{\"schema_version\":9,\"binary\":");
-  AppendJsonString(&out, binary_);
+  out.append("{\"schema_version\":10,\"binary\":");
+  AppendJsonString(binary_, &out);
   out.append(",\"runs\":[");
   bool first = true;
   for (const Run& run : runs_) {
@@ -78,7 +58,7 @@ std::string RunReport::ToJson() const {
     first = false;
     const RunStats& s = run.stats;
     out.append("{\"name\":");
-    AppendJsonString(&out, run.name);
+    AppendJsonString(run.name, &out);
     out.push_back(',');
     AppendField(&out, "timestamp", static_cast<uint64_t>(s.timestamp));
     out.append("\"incremental\":");
@@ -103,7 +83,6 @@ std::string RunReport::ToJson() const {
     AppendField(&out, "parallel_tasks", s.parallel_tasks);
     AppendField(&out, "steals", s.steals);
     AppendField(&out, "busy_nanos", s.busy_nanos);
-    AppendField(&out, "critical_nanos", s.critical_nanos);
     AppendField(&out, "state_digest", s.state_digest);
     out.append("\"machines\":[");
     for (size_t m = 0; m < run.machines.size(); ++m) {
@@ -129,9 +108,9 @@ std::string RunReport::ToJson() const {
         std::snprintf(buf, sizeof(buf), "%d", id);
         out.append(buf);
         out.append(",\"op\":");
-        AppendJsonString(&out, entry.op);
+        AppendJsonString(entry.op, &out);
         out.append(",\"detail\":");
-        AppendJsonString(&out, entry.detail);
+        AppendJsonString(entry.detail, &out);
         out.push_back(',');
         const gsa::OperatorCounters& c = entry.counters;
         AppendField(&out, "in_pos", c.in_pos);
@@ -181,7 +160,7 @@ std::string RunReport::ToJson() const {
   for (const auto& [name, value] : results_) {
     if (!first) out.push_back(',');
     first = false;
-    AppendJsonString(&out, name);
+    AppendJsonString(name, &out);
     out.push_back(':');
     AppendDouble(&out, value);
   }
@@ -224,7 +203,7 @@ std::string RunReport::ToJson() const {
         snap.gauges.find("mem." + struct_name + ".peak_bytes");
     if (!first_mem) out.push_back(',');
     first_mem = false;
-    AppendJsonString(&out, struct_name);
+    AppendJsonString(struct_name, &out);
     out.append(":{");
     AppendField(&out, "bytes", static_cast<uint64_t>(value));
     AppendField(&out, "peak_bytes",
@@ -260,7 +239,7 @@ std::string RunReport::ToJson() const {
           prefix.size(), name.size() - prefix.size() - cpu_suffix.size());
       if (!first_ctx) out.push_back(',');
       first_ctx = false;
-      AppendJsonString(&out, ctx);
+      AppendJsonString(ctx, &out);
       out.append(":{");
       AppendField(&out, "cpu_nanos", value);
       AppendField(&out, "pages_read",
@@ -307,7 +286,7 @@ std::string RunReport::ToJson() const {
     out.append(",\"attrs\":[");
     for (size_t i = 0; i < d.attrs.size(); ++i) {
       if (i > 0) out.push_back(',');
-      AppendJsonString(&out, d.attrs[i]);
+      AppendJsonString(d.attrs[i], &out);
     }
     out.append("],");
     AppendField(&out, "divergent_vertices", d.divergent_vertices);
@@ -337,7 +316,7 @@ std::string RunReport::ToJson() const {
       if (i > 0) out.push_back(',');
       const ServingStageRow& st = serving_.stages[i];
       out.append("{\"stage\":");
-      AppendJsonString(&out, st.stage);
+      AppendJsonString(st.stage, &out);
       out.push_back(',');
       AppendField(&out, "count", st.count);
       AppendField(&out, "sum", st.sum_us);
@@ -352,7 +331,7 @@ std::string RunReport::ToJson() const {
       if (i > 0) out.push_back(',');
       const ServingQueryRow& q = serving_.queries[i];
       out.append("{\"name\":");
-      AppendJsonString(&out, q.name);
+      AppendJsonString(q.name, &out);
       out.append(",\"timestamp\":");
       out.append(std::to_string(q.timestamp));
       out.push_back(',');
@@ -409,7 +388,7 @@ std::string RunReport::ToJson() const {
     AppendField(&out, "connections", load_.connections);
     AppendField(&out, "subscribers", load_.subscribers);
     out.append("\"arrival\":");
-    AppendJsonString(&out, load_.arrival);
+    AppendJsonString(load_.arrival, &out);
     out.push_back(',');
     AppendField(&out, "ops_per_batch", load_.ops_per_batch);
     out.append("\"slo_ms\":");
@@ -430,7 +409,7 @@ std::string RunReport::ToJson() const {
       append_point_fields(load_.knee);
     }
     out.append("},\"slo_verdict\":");
-    AppendJsonString(&out, load_.slo_verdict);
+    AppendJsonString(load_.slo_verdict, &out);
     if (!load_.server_timeseries_json.empty()) {
       out.append(",\"server_timeseries\":");
       out.append(load_.server_timeseries_json);
@@ -453,18 +432,18 @@ std::string RunReport::ToJson() const {
       if (!first_rule) out.push_back(',');
       first_rule = false;
       out.append("{\"name\":");
-      AppendJsonString(&out, r.name);
+      AppendJsonString(r.name, &out);
       out.append(",\"severity\":");
-      AppendJsonString(&out, r.severity);
+      AppendJsonString(r.severity, &out);
       out.append(",\"state\":");
-      AppendJsonString(&out, r.state);
+      AppendJsonString(r.state, &out);
       out.push_back(',');
       AppendField(&out, "fires", r.fires);
       AppendField(&out, "flaps", r.flaps);
       out.append("\"last_value\":");
       AppendDouble(&out, r.last_value);
       out.append(",\"expr\":");
-      AppendJsonString(&out, r.expr);
+      AppendJsonString(r.expr, &out);
       out.push_back('}');
     }
     out.append("]}");

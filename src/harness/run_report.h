@@ -169,11 +169,11 @@ struct AlertsSection {
 /// Machine-readable run report (the `--metrics-json=<path>` output of the
 /// bench and harness binaries).
 ///
-/// Schema (version 9, validated by tools/trace_summary.py and diffed by
+/// Schema (version 10, validated by tools/trace_summary.py and diffed by
 /// tools/report_diff.py; readers accept REPORT_SCHEMA_MIN..MAX):
 /// ```json
 /// {
-///   "schema_version": 4,
+///   "schema_version": 10,
 ///   "binary": "fig12_overall",
 ///   "runs": [
 ///     {"name": "...", "timestamp": 0, "incremental": false,
@@ -183,7 +183,7 @@ struct AlertsSection {
 ///      "recomputed_vertices": 0,
 ///      "delta_walks": {"enumerated": 0, "pruned": 0},
 ///      "threads": 1, "parallel_tasks": 0, "steals": 0,
-///      "busy_nanos": 0, "critical_nanos": 0,
+///      "busy_nanos": 0,
 ///      "state_digest": 0,       // v4, end-of-run state digest
 ///      "machines": [{"seconds": 0.1, "network_bytes": 123}, ...],
 ///      "operators": [           // v2, present when a profile was attached

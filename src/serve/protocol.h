@@ -62,9 +62,6 @@ struct Json {
   int64_t AsInt() const { return kind == Kind::kDouble ? static_cast<int64_t>(d) : i; }
 };
 
-/// Appends `s` JSON-escaped, in quotes.
-void AppendJsonString(const std::string& s, std::string* out);
-
 /// Appends a double with round-trip precision; non-finite values become
 /// the tokens Infinity / -Infinity / NaN (accepted by Json::Parse and by
 /// Python's json module).

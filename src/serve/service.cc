@@ -6,6 +6,7 @@
 
 #include "algos/programs.h"
 #include "common/flight_recorder.h"
+#include "common/json.h"
 #include "common/live_status.h"
 #include "common/logging.h"
 #include "common/metrics.h"

@@ -307,26 +307,24 @@ TEST(AlertEngineTest, PercentileOverWindowedDelta) {
   // A slow past that must NOT leak into the windowed delta.
   for (int i = 0; i < 100; ++i) h->Record(9);
   engine.EvaluateOnceAt(1000);
-  // The window itself: 60 fast + 40 slow samples; p50 rank = 30 lands
-  // in the bucket of value 1, whose inclusive upper bound is 1.
+  // The window itself: 60 fast + 40 slow samples; p50 rank = 50 lands
+  // in the bucket of value 1, whose exclusive upper bound is 2 (the
+  // registry's shared percentile rule).
   for (int i = 0; i < 60; ++i) h->Record(1);
   for (int i = 0; i < 40; ++i) h->Record(9);
   engine.EvaluateOnceAt(2000);
   AlertStatus st = StatusOf(engine, "slow_p50");
   EXPECT_EQ(st.state, AlertState::kInactive);
-  EXPECT_DOUBLE_EQ(st.value,
-                   static_cast<double>(Histogram::BucketUpperBound(
-                       Histogram::BucketOf(1))));
+  EXPECT_DOUBLE_EQ(st.value, 2.0);
 
-  // Flip the mix: p50 rank = 50 of (40 fast + 60 slow) reaches value 9.
+  // Flip the mix: p50 rank = 50 of (40 fast + 60 slow) reaches value 9,
+  // whose bucket's exclusive upper bound is 10.
   for (int i = 0; i < 40; ++i) h->Record(1);
   for (int i = 0; i < 60; ++i) h->Record(9);
   engine.EvaluateOnceAt(3000);
   st = StatusOf(engine, "slow_p50");
   EXPECT_EQ(st.state, AlertState::kFiring);  // for_ms default 0 -> fires
-  EXPECT_DOUBLE_EQ(st.value,
-                   static_cast<double>(Histogram::BucketUpperBound(
-                       Histogram::BucketOf(9))));
+  EXPECT_DOUBLE_EQ(st.value, 10.0);
 }
 
 TEST(AlertEngineTest, BurnRateMultiWindowHandComputed) {

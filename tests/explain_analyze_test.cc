@@ -203,7 +203,7 @@ TEST(RunReportV2Test, ProfileSectionsSerializedWhenAttached) {
   report.AddRun("without_profile", stats);
   const std::string json = report.ToJson();
 
-  EXPECT_NE(json.find("\"schema_version\":9"), std::string::npos);
+  EXPECT_NE(json.find("\"schema_version\":10"), std::string::npos);
   EXPECT_NE(json.find("\"operators\":[{\"id\":0,\"op\":\"Walk\""),
             std::string::npos)
       << json;

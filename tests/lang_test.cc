@@ -148,6 +148,35 @@ TEST(SemaTest, RejectsAccumulatorMisuse) {
     Update (u) {}
   )")
                    .ok());
+  // Reading a global accumulator in Traverse (here as an emission value).
+  auto global_read = AnalyzeSource(R"(
+    Vertex (id, active, nbrs, s: Accm<float, SUM>)
+    GlobalVariable (g: Accm<float, SUM>)
+    Initialize (u) {}
+    Traverse (u) {
+      For v in u.nbrs {
+        v.s.Accumulate(g);
+      }
+    }
+    Update (u) {}
+  )");
+  EXPECT_FALSE(global_read.ok());
+  EXPECT_NE(global_read.status().message().find("only readable in Update"),
+            std::string::npos);
+  // Reading a vertex accumulator in a level predicate.
+  auto predicate_read = AnalyzeSource(R"(
+    Vertex (id, active, nbrs, s: Accm<float, SUM>)
+    Initialize (u) {}
+    Traverse (u) {
+      For v in u.nbrs Where (u.s > 0) {
+        v.s.Accumulate(1);
+      }
+    }
+    Update (u) {}
+  )");
+  EXPECT_FALSE(predicate_read.ok());
+  EXPECT_NE(predicate_read.status().message().find("write-only outside"),
+            std::string::npos);
   // Assigning an accumulator.
   EXPECT_FALSE(AnalyzeSource(R"(
     Vertex (id, active, nbrs, s: Accm<float, SUM>)

@@ -309,6 +309,26 @@ TEST(TimeSeriesRingTest, ToJsonDigestsHistograms) {
   EXPECT_EQ(json.find("\"buckets\""), std::string::npos);
 }
 
+TEST(MetricsRegistryTest, ToJsonEscapesControlBytesInNames) {
+  // Series names can carry client-chosen view names (e.g.
+  // serve.delta_latency_us.<view>); neither JSON writer may emit a raw
+  // control byte for them.
+  const std::string name = std::string("view.a\"b\\c\nd") + '\x01' + "e";
+  MetricsRegistry reg;
+  reg.counter(name)->Add(1);
+  reg.gauge(name)->Set(2);
+  reg.histogram(name)->Record(3);
+  TimeSeriesRing ring(2);
+  ring.Push(1, reg.Snap());
+  for (const std::string& json : {reg.ToJson(), ring.ToJson()}) {
+    for (char c : json) {
+      EXPECT_GE(static_cast<unsigned char>(c), 0x20u) << json;
+    }
+    EXPECT_NE(json.find("view.a\\\"b\\\\c\\nd\\u0001e"), std::string::npos)
+        << json;
+  }
+}
+
 TEST(MetricsFacadeTest, CountersLiveInRegistry) {
   Metrics m;
   m.AddReadBytes(100);

@@ -224,7 +224,7 @@ RUN_UINT_FIELDS = [
     "timestamp", "supersteps", "read_bytes", "write_bytes", "network_bytes",
     "windows_loaded", "edges_scanned", "emissions_applied",
     "recomputed_vertices", "threads", "parallel_tasks", "steals",
-    "busy_nanos", "critical_nanos",
+    "busy_nanos",
 ]
 
 OPERATOR_UINT_FIELDS = [
