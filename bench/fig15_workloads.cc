@@ -3,7 +3,10 @@
 //      flat across ratios; the Min-monoid WCC degrades as deletions grow
 //      (recomputation under deletions, §5.4).
 //  (b) batch size sweep — throughput (mutations/second) grows with the
-//      batch (computation and IO sharing within the batch).
+//      batch (computation and IO sharing within the batch). A second
+//      table shows the share of PR and WCC incremental supersteps that
+//      recomputed instead of running Δ-walks: the batch size where the
+//      engine crosses over from the Δ plan to recomputation.
 //
 // Every run is recorded into the metrics report under a stable label
 // ("ratio/PR/75:25/step0", ...), so `--metrics-json` output can be diffed
@@ -20,11 +23,15 @@ namespace {
 
 using bench::CheckOk;
 
+/// Mean seconds per incremental run. `recompute_share`, when given,
+/// receives the share of the runs' supersteps that took the recompute
+/// plan.
 double AvgIncrementalSeconds(const std::string& source, bool symmetric,
                              int fixed_supersteps, size_t batch,
                              double insert_ratio, int snapshots = 4,
                              int scale = 16,
-                             const std::string& label = "") {
+                             const std::string& label = "",
+                             double* recompute_share = nullptr) {
   if (bench::QuickMode()) {
     scale = std::min(scale, 11);
     snapshots = std::min(snapshots, 2);
@@ -39,12 +46,21 @@ double AvgIncrementalSeconds(const std::string& source, bool symmetric,
   CheckOk(harness->RunOneShot());
   if (!label.empty()) bench::RecordRun(harness.get(), label + "/oneshot");
   double total = 0;
+  uint64_t supersteps = 0;
+  uint64_t recomputed = 0;
   for (int i = 0; i < snapshots; ++i) {
     CheckOk(harness->Step(batch, insert_ratio));
     if (!label.empty()) {
       bench::RecordRun(harness.get(), label + "/step" + std::to_string(i));
     }
-    total += harness->engine().last_stats().seconds;
+    const RunStats& stats = harness->engine().last_stats();
+    total += stats.seconds;
+    supersteps += static_cast<uint64_t>(stats.supersteps);
+    recomputed += stats.recomputed_supersteps;
+  }
+  if (recompute_share != nullptr) {
+    *recompute_share =
+        supersteps > 0 ? static_cast<double>(recomputed) / supersteps : 0.0;
   }
   return total / snapshots;
 }
@@ -88,15 +104,17 @@ void BatchSweep() {
   const size_t batches[] = {8, 40, 200, 1000, 5000};
   const int num_batches = bench::QuickMode() ? 2 : 5;
   double base[3] = {0, 0, 0};
+  double share[5][2] = {};
   for (int b = 0; b < num_batches; ++b) {
     const std::string tag = "batch/" + std::to_string(batches[b]);
     double thr[3];
     thr[0] = static_cast<double>(batches[b]) /
              AvgIncrementalSeconds(QuantizedPageRankProgram(), false, 10,
-                                   batches[b], 0.75, 2, 16, tag + "/PR");
+                                   batches[b], 0.75, 2, 16, tag + "/PR",
+                                   &share[b][0]);
     thr[1] = static_cast<double>(batches[b]) /
              AvgIncrementalSeconds(WccProgram(), true, -1, batches[b], 0.75,
-                                   2, 16, tag + "/WCC");
+                                   2, 16, tag + "/WCC", &share[b][1]);
     thr[2] = static_cast<double>(batches[b]) /
              AvgIncrementalSeconds(TriangleCountProgram(), true, -1,
                                    batches[b], 0.75, 2, 15, tag + "/TC");
@@ -110,6 +128,14 @@ void BatchSweep() {
   }
   std::printf("(normalized to the smallest batch; paper shape: throughput "
               "grows by orders of magnitude with the batch size)\n");
+
+  std::printf("\n%-8s %12s %12s\n", "|dG|", "PR recomp", "WCC recomp");
+  for (int b = 0; b < num_batches; ++b) {
+    std::printf("%-8zu %11.0f%% %11.0f%%\n", batches[b], 100 * share[b][0],
+                100 * share[b][1]);
+  }
+  std::printf("(share of incremental supersteps that recomputed over the "
+              "new snapshot instead of running Δ-walks)\n");
 }
 
 }  // namespace

@@ -125,6 +125,13 @@ Engine::Engine(DynamicGraphStore* store, const CompiledProgram* program,
   monoid_marks_.resize(static_cast<size_t>(n_attrs));
   adj_stack_.resize(static_cast<size_t>(program_->walk_length()) + 2);
   update_parallel_safe_ = !StmtsWriteGlobals(*program_->update_body);
+  // A recompute cannot take the previous superstep's share out of a
+  // global accumulator, which carries a running total (DESIGN.md §6).
+  one_hop_recomputable_ =
+      program_->walk_length() == 1 &&
+      std::none_of(program_->traverse.emissions.begin(),
+                   program_->traverse.emissions.end(),
+                   [](const Emission& e) { return e.is_global; });
   program_->RegisterOperators(&profile_);
   CacheProfileCells();
   num_threads_ = (options_.num_threads > 0)
@@ -795,92 +802,110 @@ void Engine::UnmarkRecompute(int attr, VertexId v) {
   if (!marks.empty()) marks[static_cast<size_t>(v)] = 0;
 }
 
-void Engine::RunUpdatePhase(ColumnSet* cols,
-                            std::vector<std::vector<double>>* globals,
-                            Timestamp t) {
-  TraceSpan span("update", "engine");
+void Engine::RunUpdatePhase(Timestamp t, const std::vector<VertexId>* domain,
+                            const ColumnSet* restore) {
+  TraceSpan span("update", "engine",
+                 domain != nullptr ? static_cast<int64_t>(domain->size())
+                                   : Tracer::kNoArg);
   Stopwatch update_watch;
-  // All vertices deactivate; Update re-activates (vertex-centric
-  // "vote-to-halt" semantics, §3).
-  auto& active = cols->Column(program_->active_attr);
-  std::fill(active.begin(), active.end(), 0.0);
+  ColumnSet* cols = &cur_cols_;
+  if (domain == nullptr) {
+    // All vertices deactivate; Update re-activates (vertex-centric
+    // "vote-to-halt" semantics, §3).
+    auto& active = cols->Column(program_->active_attr);
+    std::fill(active.begin(), active.end(), 0.0);
+  }
   const double* contribs = cols->Column(contribs_attr_).data();
+  const std::vector<int>& restore_attrs = AttrFileAttrs();
   StmtContext ctx;
   ctx.columns = cols;
-  ctx.globals = globals;
+  ctx.globals = &cur_globals_;
   ctx.num_vertices = static_cast<double>(store_->num_vertices());
   ctx.num_edges = static_cast<double>(store_->num_edges(t));
+  const size_t count = domain != nullptr
+                           ? domain->size()
+                           : static_cast<size_t>(store_->num_vertices());
+  auto vertex_at = [&](size_t i) {
+    return domain != nullptr ? (*domain)[i] : static_cast<VertexId>(i);
+  };
+  // Work counters (bodies run / evals / assigns) of one pool task, or of
+  // the whole loop when it runs on the caller.
+  struct UpdateCounts {
+    uint64_t bodies = 0;
+    uint64_t evals = 0;
+    uint64_t assigns = 0;
+  };
+  auto visit = [&](VertexId v, StmtContext* c, UpdateCounts* counts) {
+    if (restore != nullptr) {
+      // ΔUpdate: restore this vertex's A_{t,s} values and deactivate it.
+      for (int attr : restore_attrs) {
+        const double* src = restore->Cell(attr, v);
+        std::copy(src, src + cols->width(attr), cols->Cell(attr, v));
+      }
+      cols->Cell(program_->active_attr, v)[0] = 0.0;
+    }
+    if (contribs[v] <= 0.0) return;  // Update runs for V_accm only
+    ++counts->bodies;
+    c->vertex = v;
+    RunStatements(*program_->update_body, c);
+  };
+  auto fold = [&](const UpdateCounts& counts) {
+    if (update_cell_ == nullptr) return;
+    update_cell_->in_pos += counts.bodies;
+    update_cell_->evals += counts.evals;
+    update_cell_->out_pos += counts.assigns;
+  };
+
   const int machines = std::max(1, options_.num_partitions);
-  const VertexId n = store_->num_vertices();
-  if (machines <= 1 && num_threads_ > 1 && update_parallel_safe_) {
+  const size_t threads = static_cast<size_t>(num_threads_);
+  const size_t per =
+      std::max<size_t>(64, (count + threads * 8 - 1) / (threads * 8));
+  const size_t num_tasks = (count + per - 1) / per;
+  if (machines <= 1 && num_threads_ > 1 && update_parallel_safe_ &&
+      num_tasks >= 2) {
     // Vertex-sharded Update: each body writes only its own vertex's
     // cells (global writes disable this path in the constructor), so
     // shards are disjoint and the result is order-independent — the
     // same bits as the sequential loop, no replay needed.
-    const VertexId per = std::max<VertexId>(
-        64, (n + static_cast<VertexId>(num_threads_) * 8 - 1) /
-                (static_cast<VertexId>(num_threads_) * 8));
-    const size_t num_tasks =
-        static_cast<size_t>((n + per - 1) / per);
-    if (num_tasks >= 2) {
-      if (pool_threads_ == nullptr) {
-        pool_threads_ =
-            std::make_unique<ThreadPool>(num_threads_, store_->metrics());
-      }
-      // Per-task work counters (bodies run / evals / assigns), summed in
-      // task-index order after the barrier — order-independent, so the
-      // totals match the sequential loop at any thread count.
-      struct UpdateTaskCounts {
-        uint64_t bodies = 0;
-        uint64_t evals = 0;
-        uint64_t assigns = 0;
-      };
-      std::vector<UpdateTaskCounts> task_counts(num_tasks);
-      pool_threads_->ParallelFor(num_tasks, [&](size_t task, int) {
-        StmtContext task_ctx = ctx;
-        UpdateTaskCounts& tc = task_counts[task];
-        if (update_cell_ != nullptr) {
-          task_ctx.eval_counter = &tc.evals;
-          task_ctx.assigns_applied = &tc.assigns;
-        }
-        const VertexId begin = static_cast<VertexId>(task) * per;
-        const VertexId end = std::min(n, begin + per);
-        for (VertexId v = begin; v < end; ++v) {
-          if (contribs[v] <= 0.0) continue;  // Update runs for V_accm only
-          ++tc.bodies;
-          task_ctx.vertex = v;
-          RunStatements(*program_->update_body, &task_ctx);
-        }
-      });
-      stats_.parallel_tasks += num_tasks;
+    if (pool_threads_ == nullptr) {
+      pool_threads_ =
+          std::make_unique<ThreadPool>(num_threads_, store_->metrics());
+    }
+    std::vector<UpdateCounts> task_counts(num_tasks);
+    pool_threads_->ParallelFor(num_tasks, [&](size_t task, int) {
+      StmtContext task_ctx = ctx;
+      UpdateCounts& tc = task_counts[task];
       if (update_cell_ != nullptr) {
-        for (const UpdateTaskCounts& tc : task_counts) {
-          update_cell_->in_pos += tc.bodies;
-          update_cell_->evals += tc.evals;
-          update_cell_->out_pos += tc.assigns;
-        }
-        update_cell_->wall_nanos += update_watch.ElapsedNanos();
+        task_ctx.eval_counter = &tc.evals;
+        task_ctx.assigns_applied = &tc.assigns;
       }
-      return;
+      const size_t end = std::min(count, (task + 1) * per);
+      for (size_t i = task * per; i < end; ++i) {
+        visit(vertex_at(i), &task_ctx, &tc);
+      }
+    });
+    stats_.parallel_tasks += num_tasks;
+    // Summed in task order: the totals match the sequential loop.
+    for (const UpdateCounts& tc : task_counts) fold(tc);
+  } else {
+    UpdateCounts counts;
+    if (update_cell_ != nullptr) {
+      ctx.eval_counter = &counts.evals;
+      ctx.assigns_applied = &counts.assigns;
     }
-  }
-  if (update_cell_ != nullptr) {
-    ctx.eval_counter = &update_cell_->evals;
-    ctx.assigns_applied = &update_cell_->out_pos;
-  }
-  for (int m = 0; m < machines; ++m) {
-    Stopwatch watch;
-    for (VertexId v = 0; v < n; ++v) {
-      if (contribs[v] <= 0.0) continue;  // Update runs for V_accm only
-      if (machines > 1 && OwnerOf(v) != m) continue;
-      if (update_cell_ != nullptr) ++update_cell_->in_pos;
-      ctx.vertex = v;
-      RunStatements(*program_->update_body, &ctx);
+    for (int m = 0; m < machines; ++m) {
+      Stopwatch watch;
+      for (size_t i = 0; i < count; ++i) {
+        const VertexId v = vertex_at(i);
+        if (machines > 1 && OwnerOf(v) != m) continue;
+        visit(v, &ctx, &counts);
+      }
+      if (machines > 1) {
+        machine_stats_[static_cast<size_t>(m)].seconds +=
+            watch.ElapsedSeconds();
+      }
     }
-    if (machines > 1) {
-      machine_stats_[static_cast<size_t>(m)].seconds +=
-          watch.ElapsedSeconds();
-    }
+    fold(counts);
   }
   if (update_cell_ != nullptr) {
     update_cell_->wall_nanos += update_watch.ElapsedNanos();
@@ -890,6 +915,7 @@ void Engine::RunUpdatePhase(ColumnSet* cols,
 void Engine::CollectChanged(const ColumnSet& a, const ColumnSet& b,
                             const std::vector<int>& attrs,
                             std::vector<VertexId>* out) const {
+  TraceSpan span("collect_changed", "engine");
   out->clear();
   for (VertexId v = 0; v < store_->num_vertices(); ++v) {
     for (int attr : attrs) {
@@ -907,6 +933,7 @@ Status Engine::WriteDeltaFiles(Timestamp t, Superstep s,
                                const ColumnSet& values,
                                const ColumnSet* reference_a,
                                const ColumnSet* reference_b) {
+  TraceSpan span("write_deltas", "engine", s);
   VertexStore* vs = store_->vertex_store();
   const bool keep_all = reference_a == nullptr && reference_b == nullptr;
   std::vector<VertexId> vids;
@@ -954,14 +981,12 @@ Status Engine::RunOneShot(Timestamp t) {
   ResetMachineStats();
   cur_cols_.Init(n, all_widths_);
   InitGlobals(&cur_globals_);
-  FillDegreeColumns(&cur_cols_, t);
-  RunInitialize(&cur_cols_, &cur_globals_, t);
+  {
+    TraceSpan init_span("initialize", "engine");
+    FillDegreeColumns(&cur_cols_, t);
+    RunInitialize(&cur_cols_, &cur_globals_, t);
+  }
 
-  const int k = program_->walk_length();
-  std::vector<LevelStream> streams(static_cast<size_t>(k),
-                                   LevelStream::kCurrent);
-  std::vector<const std::vector<uint8_t>*> no_allow(static_cast<size_t>(k),
-                                                    nullptr);
   ColumnSet snapshot;
 
   PublishColumnMemory();
@@ -983,24 +1008,8 @@ Status Engine::RunOneShot(Timestamp t) {
     const uint64_t active_size = active.size();
     // One-shot starts: the Filter over `vs` admits exactly the active set.
     RecordStartFilter(static_cast<uint64_t>(n), active_size);
-    ResetAccumulators(&cur_cols_);
-    ClearRecomputeState();
     remote_seen_.clear();
-
-    {
-      std::vector<WalkJob> jobs(1);
-      WalkJob& job = jobs[0];
-      job.starts = std::move(active);
-      job.streams = streams;
-      job.level_allow = no_allow;
-      job.max_depth = k;
-      job.eval_cols = &cur_cols_;
-      job.eval_globals = &cur_globals_;
-      job.eval_t = t;
-      job.current_t = t;
-      job.previous_t = t;
-      ITG_RETURN_IF_ERROR(RunWalkJobs(jobs));
-    }
+    ITG_RETURN_IF_ERROR(RecomputeAccumulators(t, std::move(active)));
 
     if (options_.record_history) {
       // Accumulator files: after-images of touched vertices (V_accm).
@@ -1013,8 +1022,11 @@ Status Engine::RunOneShot(Timestamp t) {
                                           cur_cols_, nullptr, nullptr));
     }
 
-    snapshot = cur_cols_;  // A_{t,s} before Update
-    RunUpdatePhase(&cur_cols_, &cur_globals_, t);
+    {
+      TraceSpan copy_span("copy_columns", "engine", s);
+      snapshot = cur_cols_;  // A_{t,s} before Update
+    }
+    RunUpdatePhase(t, /*domain=*/nullptr, /*restore=*/nullptr);
 
     if (options_.record_history) {
       std::vector<VertexId> changed;
@@ -1047,6 +1059,25 @@ Status Engine::RunOneShot(Timestamp t) {
   stats_.write_bytes = metrics.write_bytes() - write0;
   FillThreadStats(steals0, busy0);
   return Status::OK();
+}
+
+Status Engine::RecomputeAccumulators(Timestamp t,
+                                     std::vector<VertexId> starts) {
+  ResetAccumulators(&cur_cols_);
+  ClearRecomputeState();
+  const size_t k = static_cast<size_t>(program_->walk_length());
+  std::vector<WalkJob> jobs(1);
+  WalkJob& job = jobs[0];
+  job.starts = std::move(starts);
+  job.streams.assign(k, LevelStream::kCurrent);
+  job.level_allow.assign(k, nullptr);
+  job.max_depth = program_->walk_length();
+  job.eval_cols = &cur_cols_;
+  job.eval_globals = &cur_globals_;
+  job.eval_t = t;
+  job.current_t = t;
+  job.previous_t = t;
+  return RunWalkJobs(jobs);
 }
 
 // ---------------------------------------------------------------------------
@@ -1115,10 +1146,13 @@ Status Engine::RunIncremental(Timestamp t) {
       cur_globals_[g] = carried[g];
     }
   }
-  FillDegreeColumns(&prev_cols_, prev_t);
-  FillDegreeColumns(&cur_cols_, t);
-  RunInitialize(&prev_cols_, &prev_globals_, prev_t);
-  RunInitialize(&cur_cols_, &cur_globals_, t);
+  {
+    TraceSpan init_span("initialize", "engine");
+    FillDegreeColumns(&prev_cols_, prev_t);
+    FillDegreeColumns(&cur_cols_, t);
+    RunInitialize(&prev_cols_, &prev_globals_, prev_t);
+    RunInitialize(&cur_cols_, &cur_globals_, t);
+  }
 
   const Superstep s_prev_total = prev_supersteps_;
   ColumnSet cur_snapshot;
@@ -1154,12 +1188,6 @@ Status Engine::RunIncremental(Timestamp t) {
       }
     }
     charge_shared_seconds(overlay_watch.ElapsedSeconds());
-    // Current accumulators start from the previous snapshot's and are
-    // patched by Δ-walk contributions.
-    for (int attr : AccmFileAttrs()) {
-      cur_cols_.Column(attr) = prev_cols_.Column(attr);
-    }
-    ClearRecomputeState();
 
     // Δvs starts: vertices whose traverse-visible state changed.
     std::vector<int> traverse_attrs = program_->traverse_read_attrs;
@@ -1167,17 +1195,28 @@ Status Engine::RunIncremental(Timestamp t) {
     std::vector<VertexId> changed_starts;
     CollectChanged(cur_cols_, prev_cols_, traverse_attrs, &changed_starts);
 
+    // Either plan leaves A_{t,s} in the current accumulators.
+    const bool recompute = RecomputeIsCheaper(t, changed_starts, cur_active);
     emissions0 = stats_.emissions_applied;
-    // Per-superstep Δ diagnostics (changed-start set sizes, per-phase edge
-    // scans); enable with ITG_LOG_LEVEL=debug.
-    ITG_LOG(Debug) << "t=" << t << " s=" << s
-                   << " changed_starts=" << changed_starts.size()
-                   << " cur_active=" << cur_active.size();
-    uint64_t delta_scans0 = enumerator_.edges_scanned();
-    ITG_RETURN_IF_ERROR(RunDeltaTraverse(t, s, changed_starts, cur_active));
-    ITG_LOG(Debug) << "  delta-traverse scans="
-                   << enumerator_.edges_scanned() - delta_scans0;
-    ITG_RETURN_IF_ERROR(RunMonoidRecompute(t, s));
+    if (recompute) {
+      TraceSpan recompute_span("recompute", "engine", s);
+      ++stats_.recomputed_supersteps;
+      RecordStartFilter(cur_active.size(), cur_active.size());
+      ITG_RETURN_IF_ERROR(RecomputeAccumulators(t, cur_active));
+    } else {
+      {
+        // Current accumulators start from the previous snapshot's and
+        // are patched by Δ-walk contributions.
+        TraceSpan copy_span("copy_columns", "engine", s);
+        for (int attr : AccmFileAttrs()) {
+          cur_cols_.Column(attr) = prev_cols_.Column(attr);
+        }
+      }
+      ClearRecomputeState();
+      ITG_RETURN_IF_ERROR(
+          RunDeltaTraverse(t, s, changed_starts, cur_active));
+      ITG_RETURN_IF_ERROR(RunMonoidRecompute(t, s));
+    }
     stats_.delta_walk_emissions += stats_.emissions_applied - emissions0;
 
     // Persist accumulator deltas: cross-snapshot changes.
@@ -1205,9 +1244,19 @@ Status Engine::RunIncremental(Timestamp t) {
       }
     }
     std::sort(domain.begin(), domain.end());
+    // Per-superstep plan diagnostics; enable with ITG_LOG_LEVEL=debug.
+    ITG_LOG(Debug) << "t=" << t << " s=" << s
+                   << " plan=" << (recompute ? "recompute" : "delta")
+                   << " changed_starts=" << changed_starts.size()
+                   << " cur_active=" << cur_active.size()
+                   << " scans=" << enumerator_.edges_scanned() - ss_edges0
+                   << " update_domain=" << domain.size();
 
-    // Snapshot A_{t,s} (attrs) before advancing.
-    cur_snapshot = cur_cols_;
+    {
+      // Snapshot A_{t,s} (attrs) before advancing.
+      TraceSpan copy_span("copy_columns", "engine", s);
+      cur_snapshot = cur_cols_;
+    }
 
     // Advance prev to A_{t-1,s+1} by overlaying the stored chains.
     scratch_changed.clear();
@@ -1229,51 +1278,15 @@ Status Engine::RunIncremental(Timestamp t) {
 
     // Advance cur: identical to prev everywhere outside the domain.
     // Virtual attributes (degrees) stay snapshot-bound and are excluded.
-    for (int attr : AttrFileAttrs()) {
-      cur_cols_.Column(attr) = prev_cols_.Column(attr);
-    }
     {
-      TraceSpan update_span("update", "engine",
-                            static_cast<int64_t>(domain.size()));
-      Stopwatch delta_update_watch;
-      StmtContext ctx;
-      ctx.columns = &cur_cols_;
-      ctx.globals = &cur_globals_;
-      ctx.num_vertices = static_cast<double>(n);
-      ctx.num_edges = static_cast<double>(store_->num_edges(t));
-      if (update_cell_ != nullptr) {
-        ctx.eval_counter = &update_cell_->evals;
-        ctx.assigns_applied = &update_cell_->out_pos;
-      }
-      const double* contribs = cur_cols_.Column(contribs_attr_).data();
-      const int machines = std::max(1, options_.num_partitions);
-      for (int m = 0; m < machines; ++m) {
-        Stopwatch watch;
-        for (VertexId v : domain) {
-          if (machines > 1 && OwnerOf(v) != m) continue;
-          // Restore this vertex's A_{t,s} values, deactivate, then Update
-          // if it was touched (V_accm membership at snapshot t).
-          for (int attr : AttrFileAttrs()) {
-            const double* src = cur_snapshot.Cell(attr, v);
-            double* dst = cur_cols_.Cell(attr, v);
-            std::copy(src, src + cur_cols_.width(attr), dst);
-          }
-          cur_cols_.Cell(program_->active_attr, v)[0] = 0.0;
-          if (contribs[v] > 0.0) {
-            if (update_cell_ != nullptr) ++update_cell_->in_pos;
-            ctx.vertex = v;
-            RunStatements(*program_->update_body, &ctx);
-          }
-        }
-        if (machines > 1) {
-          machine_stats_[static_cast<size_t>(m)].seconds +=
-              watch.ElapsedSeconds();
-        }
-      }
-      if (update_cell_ != nullptr) {
-        update_cell_->wall_nanos += delta_update_watch.ElapsedNanos();
+      TraceSpan copy_span("copy_columns", "engine", s);
+      for (int attr : AttrFileAttrs()) {
+        cur_cols_.Column(attr) = prev_cols_.Column(attr);
       }
     }
+    // ΔUpdate: each domain vertex gets its A_{t,s} values back, is
+    // deactivated, and runs Update if touched (V_accm at snapshot t).
+    RunUpdatePhase(t, &domain, &cur_snapshot);
 
     // Drift-injection test hook (audit_smoke): corrupt one audited cell
     // after ΔUpdate and put the vertex in the candidate domain so the
@@ -1334,6 +1347,35 @@ Status Engine::RunIncremental(Timestamp t) {
 // ---------------------------------------------------------------------------
 // Δ-walk enumeration (§5.3)
 // ---------------------------------------------------------------------------
+
+bool Engine::RecomputeIsCheaper(
+    Timestamp t, const std::vector<VertexId>& changed_starts,
+    const std::vector<VertexId>& cur_active) const {
+  // Lineage attributes a mutation id through the q_es_p walk that
+  // crossed the Δ edge; a recompute has no such walk.
+  if (!one_hop_recomputable_ || lineage_ != nullptr) return false;
+  // Retract and assert both walk the old adjacency.
+  const Direction dir = program_->traverse.levels[0].dir;
+  const double* prev_active = prev_cols_.Column(program_->active_attr).data();
+  const double* cur_active_col =
+      cur_cols_.Column(program_->active_attr).data();
+  uint64_t delta_cost = 0;
+  for (VertexId v : changed_starts) {
+    const int walks = (prev_active[v] != 0.0) + (cur_active_col[v] != 0.0);
+    if (walks > 0) {
+      delta_cost +=
+          static_cast<uint64_t>(walks * store_->Degree(v, t - 1, dir));
+    }
+  }
+  // Stop once the recompute reaches the Δ cost: a tiny batch pays only
+  // for its changed starts. A tie keeps the Δ plan.
+  uint64_t recompute_cost = 0;
+  for (VertexId v : cur_active) {
+    if (recompute_cost >= delta_cost) return false;
+    recompute_cost += static_cast<uint64_t>(store_->Degree(v, t, dir));
+  }
+  return recompute_cost < delta_cost;
+}
 
 Status Engine::RunDeltaTraverse(Timestamp t, Superstep s,
                                 const std::vector<VertexId>& changed_starts,

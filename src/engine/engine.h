@@ -102,6 +102,10 @@ struct RunStats {
   /// visited sets (§5.4) — work the Δ-walk decomposition avoided.
   uint64_t delta_walks_pruned = 0;
   uint64_t recomputed_vertices = 0;
+  /// Incremental supersteps that recomputed their accumulators over the
+  /// new snapshot instead of running the Δ plan, because that scanned
+  /// fewer edges (Engine::RecomputeIsCheaper). Not in the run report.
+  uint64_t recomputed_supersteps = 0;
   uint64_t windows_loaded = 0;
   uint64_t edges_scanned = 0;
   double seconds = 0;
@@ -357,10 +361,21 @@ class Engine {
   /// the metrics registry and GlobalLiveStatus. Observation-only.
   void PublishStateDigest(Timestamp t);
 
-  /// Runs Update for every touched vertex of `cols` in place (clears all
-  /// activations first; Update re-activates).
-  void RunUpdatePhase(ColumnSet* cols,
-                      std::vector<std::vector<double>>* globals, Timestamp t);
+  /// Resets the current accumulators and walks `starts` over snapshot t
+  /// with emissions evaluated on the current state: a one-shot superstep,
+  /// and the recompute plan of an incremental one.
+  Status RecomputeAccumulators(Timestamp t, std::vector<VertexId> starts);
+
+  /// Runs Update on cur_cols_ for the vertices of `domain` that received a
+  /// contribution (V_accm); Update re-activates. With a null domain every
+  /// vertex is visited and all activations are cleared first (one-shot).
+  /// A ΔUpdate domain instead restores each vertex's cells from `restore`
+  /// (A_{t,s}) and deactivates it. Shards the vertices over the pool when
+  /// Update writes no global, the run is unpartitioned, the engine has more
+  /// than one thread and the vertices cut into two or more tasks of at
+  /// least 64; per-task counters are summed in task order.
+  void RunUpdatePhase(Timestamp t, const std::vector<VertexId>* domain,
+                      const ColumnSet* restore);
 
   /// Vertices where any of `attrs` differs between two column sets.
   void CollectChanged(const ColumnSet& a, const ColumnSet& b,
@@ -376,6 +391,15 @@ class Engine {
                          const ColumnSet* reference_b);
 
   // ---- incremental machinery ------------------------------------------
+  /// The per-superstep plan choice: true when recomputing the superstep
+  /// (Σ deg_t over `cur_active`) scans strictly fewer edges than the Δ
+  /// plan's q_vs walks (Σ deg_{t−1} over the changed starts active at
+  /// t−1, plus over those active at t). Only one-hop programs with no
+  /// global emission and lineage off qualify. q_es_p and the monoid
+  /// recompute are left out, so the Δ cost is never over-estimated.
+  bool RecomputeIsCheaper(Timestamp t,
+                          const std::vector<VertexId>& changed_starts,
+                          const std::vector<VertexId>& cur_active) const;
   Status RunDeltaTraverse(Timestamp t, Superstep s,
                           const std::vector<VertexId>& changed_starts,
                           const std::vector<VertexId>& cur_active);
@@ -405,6 +429,9 @@ class Engine {
   // Update bodies with no global assignment write disjoint per-vertex
   // cells, so the Update phase can shard over vertices directly.
   bool update_parallel_safe_ = false;
+  // Walk length 1 and no global emission: an incremental superstep may
+  // recompute instead of running the Δ plan (RecomputeIsCheaper).
+  bool one_hop_recomputable_ = false;
   int num_threads_ = 1;
   std::unique_ptr<ThreadPool> pool_threads_;  // lazily created
   // Enumerators of pool workers 1..num_threads_-1 (worker 0 is the caller

@@ -8,7 +8,12 @@
 #      start, folded flush at exit) and a deliberately tiny ingest queue
 #      (--queue-depth 2) so producers and the maintenance thread collide
 #      on the queue mutex;
-#   2. example_itg_loadgen driving a single saturating sweep step;
+#   2. example_itg_loadgen driving a single sweep step with four
+#      producer connections at 200 batches/s: enough load that the
+#      producers and the maintenance thread collide on the queue mutex
+#      several times per run (two connections at 100 batches/s could
+#      record no collision at all), and below the daemon's capacity so
+#      the step still reaches 90% of the offered rate and finds a knee;
 #   3. a scraper that polls the telemetry portfile, then captures
 #      GET /profilez?seconds=4 mid-sweep through profile_summary.py
 #      --require serve. — the folded stacks must name the serve pipeline
@@ -66,8 +71,8 @@ execute_process(
           > ${WORK_DIR}/serve.log 2>&1"
   COMMAND sh -c "exec ${ITG_LOADGEN} --portfile ${WORK_DIR}/serve.port \
           --graph rmat:12 --program wcc \
-          --connections 2 --subscribers 1 --ops-per-batch 4 \
-          --sweep --min-rate 100 --max-rate 100 --steps 1 --step-ms 6000 \
+          --connections 4 --subscribers 1 --ops-per-batch 4 \
+          --sweep --min-rate 200 --max-rate 200 --steps 1 --step-ms 6000 \
           --slo-ms 60000 --seed 13 \
           --metrics-json ${WORK_DIR}/load_report.json \
           --shutdown > ${WORK_DIR}/loadgen.log 2>&1"
