@@ -31,6 +31,12 @@ struct Emission {
   int target_depth = 0;
   lang::AccmOp op = lang::AccmOp::kSum;
   int width = 1;
+  /// No guard and no value reads a vertex bound below the start (a vertex
+  /// variable or `id` at a position above 0). Traverse reads attributes
+  /// of the start only, so such an emission evaluates to the same guards
+  /// and value on every walk from one start: the engine evaluates it once
+  /// per start vertex (loop-invariant hoisting).
+  bool start_invariant = false;
   /// Operator ids of this emission's logical Map (value computation;
   /// guard/value evaluations are charged here) and Accumulate (tuples
   /// in / applied emissions out). Shared by the one-shot and incremental

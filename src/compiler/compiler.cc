@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <map>
 #include <set>
 #include <sstream>
@@ -217,6 +218,16 @@ int VertexPositionOf(const Expr& e) {
     return e.vertex_depth;
   }
   return -1;
+}
+
+/// True when `e` references no vertex position above 0: its value is
+/// fixed by the walk's start vertex (attributes are read at the start).
+bool ReadsOnlyStart(const Expr& e) {
+  if (VertexPositionOf(e) > 0) return false;
+  for (const auto& child : e.children) {
+    if (!ReadsOnlyStart(*child)) return false;
+  }
+  return true;
 }
 
 void SplitConjuncts(const Expr& expr, std::vector<const Expr*>* out) {
@@ -454,6 +465,13 @@ StatusOr<std::unique_ptr<CompiledProgram>> CompileProgram(
 
   TraverseExtractor extractor(program.get());
   ITG_RETURN_IF_ERROR(extractor.Run(program->ast->traverse.body));
+  for (Emission& e : program->traverse.emissions) {
+    e.start_invariant =
+        ReadsOnlyStart(*e.value) &&
+        std::all_of(e.guards.begin(), e.guards.end(), [](const auto& guard) {
+          return ReadsOnlyStart(*guard.first);
+        });
+  }
 
   std::set<int> read_attrs;
   for (const StmtPtr& stmt : program->ast->traverse.body) {

@@ -443,18 +443,37 @@ std::vector<VertexId> Engine::ActiveList(const ColumnSet& cols) const {
   return active;
 }
 
+Engine::ApplyCounts Engine::NewApplyCounts() const {
+  ApplyCounts counts;
+  counts.accum.resize(program_->traverse.emissions.size());
+  counts.marked.resize(static_cast<size_t>(num_program_attrs()));
+  return counts;
+}
+
+void Engine::FoldApplyCounts(const ApplyCounts& counts) {
+  stats_.emissions_applied += counts.applied;
+  for (size_t ei = 0; ei < counts.accum.size(); ++ei) {
+    if (emission_accum_cells_[ei] != nullptr) {
+      emission_accum_cells_[ei]->Merge(counts.accum[ei]);
+    }
+  }
+  for (size_t a = 0; a < counts.marked.size(); ++a) {
+    recompute_sets_[a].insert(recompute_sets_[a].end(),
+                              counts.marked[a].begin(),
+                              counts.marked[a].end());
+  }
+}
+
 void Engine::ApplyEmissionValue(const Emission& emission, VertexId target,
-                                const double* values, int mult) {
+                                const double* values, int mult,
+                                ApplyCounts* counts) {
   const lang::AccmOp op = emission.op;
-  ++stats_.emissions_applied;
+  ++counts->applied;
   const size_t ei = static_cast<size_t>(
       &emission - program_->traverse.emissions.data());
-  if (ei < emission_accum_cells_.size() &&
-      emission_accum_cells_[ei] != nullptr) {
-    gsa::OperatorCounters& c = *emission_accum_cells_[ei];
-    (mult > 0 ? c.in_pos : c.in_neg) += 1;
-    (mult > 0 ? c.out_pos : c.out_neg) += 1;
-  }
+  gsa::OperatorCounters& c = counts->accum[ei];
+  (mult > 0 ? c.in_pos : c.in_neg) += 1;
+  (mult > 0 ? c.out_pos : c.out_neg) += 1;
 
   auto value_at = [&](int i) { return values[i]; };
 
@@ -497,6 +516,9 @@ void Engine::ApplyEmissionValue(const Emission& emission, VertexId target,
 
   // Monoid accumulators (MIN / MAX).
   const int attr = emission.target;
+  auto mark = [&] {
+    if (SetRecomputeMark(attr, target)) counts->marked[attr].push_back(target);
+  };
   if (emission.width > 1) {
     // Array monoids: no support counting; any equal-element deletion
     // falls back to recomputation.
@@ -507,7 +529,7 @@ void Engine::ApplyEmissionValue(const Emission& emission, VertexId target,
     } else {
       for (int i = 0; i < emission.width; ++i) {
         if (value_at(i) == cell[i]) {
-          MarkRecompute(attr, target);
+          mark();
           break;
         }
       }
@@ -534,23 +556,36 @@ void Engine::ApplyEmissionValue(const Emission& emission, VertexId target,
   if (v == cell[0]) {
     if (options_.min_counting) {
       support[0] -= 1;
-      if (support[0] <= 0) MarkRecompute(attr, target);
+      if (support[0] <= 0) mark();
     } else {
-      MarkRecompute(attr, target);
+      mark();
     }
   }
   // v worse than the current extremum: no effect on the aggregate.
 }
 
 // ---------------------------------------------------------------------------
-// Walk-job execution: evaluate every task, then replay it
+// Walk-job execution: evaluate every task, then apply its records
 // ---------------------------------------------------------------------------
 
-void Engine::TaskBuffer::Reset(size_t num_emissions) {
+namespace {
+
+/// Target ranges per pool thread in a pooled apply: enough that stealing
+/// evens out ranges holding more records than others (RMAT hubs have low
+/// ids).
+constexpr size_t kRangesPerThread = 4;
+
+}  // namespace
+
+void Engine::TaskBuffer::Reset(size_t num_emissions, size_t num_buckets) {
   status = Status::OK();
-  records.clear();
-  values.clear();
-  lineage.clear();
+  buckets.resize(num_buckets);
+  for (RecordBucket& bucket : buckets) {
+    bucket.records.clear();
+    bucket.values.clear();
+    bucket.lineage.clear();
+  }
+  slots.assign(num_emissions, EmissionSlot{});
   map_counters.assign(num_emissions, gsa::OperatorCounters{});
   windows = 0;
   edges = 0;
@@ -562,7 +597,7 @@ void Engine::TaskBuffer::Reset(size_t num_emissions) {
 Status Engine::RunWalkJobs(const std::vector<WalkJob>& jobs) {
   // Cut the jobs into tasks of one window block each — per machine when
   // partitioned, since every machine enumerates its own starts. The task
-  // order (job-major, then machine, then block) is the replay order, and
+  // order (job-major, then machine, then block) is the apply order, and
   // it is the order one enumerator would visit the blocks in.
   const size_t block = static_cast<size_t>(options_.window_vertices);
   const int machines = std::max(1, options_.num_partitions);
@@ -571,7 +606,9 @@ Status Engine::RunWalkJobs(const std::vector<WalkJob>& jobs) {
   std::vector<std::vector<VertexId>> shares;
   shares.reserve(machines > 1 ? jobs.size() * machines : 0);
   std::vector<WalkTask> tasks;
+  size_t num_starts = 0;
   for (const WalkJob& job : jobs) {
+    num_starts += job.starts.size();
     const double num_edges =
         static_cast<double>(store_->num_edges(job.eval_t));
     for (int m = 0; m < machines; ++m) {
@@ -592,31 +629,68 @@ Status Engine::RunWalkJobs(const std::vector<WalkJob>& jobs) {
   TraceSpan span("walk", "engine", static_cast<int64_t>(tasks.size()));
   const size_t num_emissions = program_->traverse.emissions.size();
 
-  if (num_threads_ > 1 && machines == 1 && tasks.size() >= 2) {
-    // Workers only evaluate; the calling thread replays every buffer in
-    // task order, so accumulation order does not depend on scheduling.
+  // Jobs below one window block of starts stay on the caller: the walks
+  // cost less than the pool's two wake-ups (evaluate, apply).
+  if (num_threads_ > 1 && machines == 1 && num_starts >= block) {
     if (pool_threads_ == nullptr) {
       pool_threads_ =
           std::make_unique<ThreadPool>(num_threads_, store_->metrics());
     }
+    // Each target lies in one range and each range is applied by one
+    // worker in task order, so every target sees the sequential order.
+    // Lineage keeps one range applied by the caller: OnEmission reads
+    // the start's provenance set, which another range may be writing.
+    const size_t ranges =
+        lineage_ != nullptr
+            ? 1
+            : kRangesPerThread * static_cast<size_t>(num_threads_);
     std::vector<TaskBuffer> buffers(tasks.size());
     pool_threads_->ParallelFor(tasks.size(), [&](size_t ti, int w) {
-      buffers[ti].Reset(num_emissions);
+      buffers[ti].Reset(num_emissions, ranges);
       EvalTask(tasks[ti],
                w == 0 ? &enumerator_ : workers_[static_cast<size_t>(w - 1)]
                                            .get(),
                &buffers[ti]);
     });
     stats_.parallel_tasks += tasks.size();
-    TraceSpan accumulate_span("accumulate", "engine",
-                              static_cast<int64_t>(tasks.size()));
-    for (const TaskBuffer& buffer : buffers) {
-      ITG_RETURN_IF_ERROR(ReplayTask(buffer));
+    // A failing task is applied up to its own partial records and ends
+    // the batch, as on the caller path.
+    size_t applied = buffers.size();
+    for (size_t i = 0; i < buffers.size(); ++i) {
+      if (!buffers[i].status.ok()) {
+        applied = i + 1;
+        break;
+      }
     }
-    return Status::OK();
+    TraceSpan accumulate_span("accumulate", "engine",
+                              static_cast<int64_t>(applied));
+    std::vector<ApplyCounts> counts(ranges, NewApplyCounts());
+    auto apply_range = [&](size_t r, int) {
+      for (size_t i = 0; i < applied; ++i) {
+        ApplyRecords(buffers[i].buckets[r], &counts[r]);
+      }
+    };
+    if (ranges == 1) {
+      apply_range(0, 0);
+    } else {
+      // Marks are set in place by whichever worker holds the target's
+      // range, so they must exist before the pool runs.
+      for (const Emission& e : program_->traverse.emissions) {
+        if (e.is_global || !IsAccmMonoid(e.target)) continue;
+        auto& marks = monoid_marks_[static_cast<size_t>(e.target)];
+        if (marks.empty()) {
+          marks.assign(static_cast<size_t>(store_->num_vertices()), 0);
+        }
+      }
+      pool_threads_->ParallelFor(ranges, apply_range);
+      ++stats_.pooled_applies;
+    }
+    for (const ApplyCounts& c : counts) FoldApplyCounts(c);
+    for (size_t i = 0; i < applied; ++i) FoldTaskCounters(buffers[i]);
+    return applied > 0 ? buffers[applied - 1].status : Status::OK();
   }
 
-  // Inline: evaluate one task into the reused buffer, then replay it, so
+  // Inline: evaluate one task into the reused buffer, then apply it, so
   // at most one window block of records is ever buffered. A partitioned
   // run enumerates each task through its machine's buffer pool and bills
   // the task's time to that machine.
@@ -629,11 +703,11 @@ Status Engine::RunWalkJobs(const std::vector<WalkJob>& jobs) {
       enumerator_.set_pool(
           machine_pools_[static_cast<size_t>(task.machine)].get());
     }
-    buffer.Reset(num_emissions);
+    buffer.Reset(num_emissions, 1);
     EvalTask(task, &enumerator_, &buffer);
     {
       TraceSpan accumulate_span("accumulate", "engine");
-      status = ReplayTask(buffer);
+      status = ApplyTask(buffer);
     }
     if (machines > 1) {
       machine_stats_[static_cast<size_t>(task.machine)].seconds +=
@@ -660,7 +734,7 @@ void Engine::EvalTask(const WalkTask& task, WalkEnumerator* we,
     EvalEmissions(job, row, depth, mult, &ctx, out);
   };
   // enumerator_ counts in place; a worker's counts are taken as deltas
-  // and folded in at replay.
+  // and folded in at apply time.
   const bool worker = we != &enumerator_;
   const uint64_t windows0 = we->windows_loaded();
   const uint64_t edges0 = we->edges_scanned();
@@ -698,6 +772,7 @@ void Engine::EvalEmissions(const WalkJob& job, const VertexId* row,
   if (depth < job.min_emit_depth) return;
   const std::vector<Emission>& emissions = program_->traverse.emissions;
   const int signed_mult = job.mult_sign * mult;
+  const size_t num_buckets = out->buckets.size();
   for (size_t ei = 0; ei < emissions.size(); ++ei) {
     const Emission& e = emissions[ei];
     if (e.stmt_depth != depth) continue;
@@ -715,23 +790,34 @@ void Engine::EvalEmissions(const WalkJob& job, const VertexId* row,
     gsa::OperatorCounters& map_c = out->map_counters[ei];
     (signed_mult > 0 ? map_c.in_pos : map_c.in_neg) += 1;
     ctx->eval_counter = &map_c.evals;
-    bool pass = true;
-    for (const auto& [cond, expected] : e.guards) {
-      if (EvaluateBool(*cond, *ctx) != expected) {
-        pass = false;
-        break;
+    // Nothing Traverse reads changes during the walk phase, so a
+    // start-invariant emission's slot holds for all of its start's walks
+    // in this task; any other emission is evaluated on every walk.
+    EmissionSlot& slot = out->slots[ei];
+    if (!e.start_invariant || slot.start != row[0]) {
+      slot.start = row[0];
+      slot.pass = true;
+      for (const auto& [cond, expected] : e.guards) {
+        if (EvaluateBool(*cond, *ctx) != expected) {
+          slot.pass = false;
+          break;
+        }
       }
+      if (slot.pass) Evaluate(*e.value, *ctx, slot.value.data());
     }
-    if (!pass) continue;
-    std::array<double, kMaxAttrWidth> value{};
-    Evaluate(*e.value, *ctx, value.data());
+    if (!slot.pass) continue;
+    const double* value = slot.value.data();
     (signed_mult > 0 ? map_c.out_pos : map_c.out_neg) += 1;
-    out->records.push_back({static_cast<int>(ei), signed_mult,
-                            e.is_global ? 0 : row[e.target_depth]});
+    const VertexId target = e.is_global ? 0 : row[e.target_depth];
+    RecordBucket& bucket =
+        out->buckets[e.is_global || num_buckets == 1
+                         ? 0
+                         : static_cast<size_t>(target) * num_buckets /
+                               static_cast<size_t>(store_->num_vertices())];
+    bucket.records.push_back({static_cast<int>(ei), signed_mult, target});
     const int value_width = e.value->type.width;
     for (int i = 0; i < e.width; ++i) {
-      out->values.push_back(value_width == 1 ? value[0]
-                                             : value[static_cast<size_t>(i)]);
+      bucket.values.push_back(value_width == 1 ? value[0] : value[i]);
     }
     if (lineage_ != nullptr) {
       int64_t delta_id = -1;
@@ -746,26 +832,29 @@ void Engine::EvalEmissions(const WalkJob& job, const VertexId* row,
                                 : Edge{row[p], row[p - 1]};
         delta_id = lineage_->DeltaEdgeId(stored);
       }
-      out->lineage.push_back({row[0], delta_id});
+      bucket.lineage.push_back({row[0], delta_id});
     }
   }
 }
 
-Status Engine::ReplayTask(const TaskBuffer& buffer) {
+void Engine::ApplyRecords(const RecordBucket& bucket, ApplyCounts* counts) {
   const std::vector<Emission>& emissions = program_->traverse.emissions;
-  const double* vp = buffer.values.data();
-  for (size_t i = 0; i < buffer.records.size(); ++i) {
-    const EmissionRecord& rec = buffer.records[i];
+  const double* vp = bucket.values.data();
+  for (size_t i = 0; i < bucket.records.size(); ++i) {
+    const EmissionRecord& rec = bucket.records[i];
     const Emission& e = emissions[static_cast<size_t>(rec.emission)];
-    ApplyEmissionValue(e, rec.target, vp, rec.mult);
+    ApplyEmissionValue(e, rec.target, vp, rec.mult, counts);
     vp += e.width;
     if (lineage_ != nullptr && !e.is_global) {
       // The target absorbs the walk start's provenance set, plus the id
       // of the delta edge the walk crossed.
-      lineage_->OnEmission(buffer.lineage[i].start, rec.target,
-                           buffer.lineage[i].delta_id);
+      lineage_->OnEmission(bucket.lineage[i].start, rec.target,
+                           bucket.lineage[i].delta_id);
     }
   }
+}
+
+void Engine::FoldTaskCounters(const TaskBuffer& buffer) {
   enumerator_.AddCounts(buffer.windows, buffer.edges, buffer.pruned);
   enumerator_.AddLevelCounts(buffer.levels, buffer.starts);
   for (size_t ei = 0; ei < buffer.map_counters.size(); ++ei) {
@@ -773,6 +862,15 @@ Status Engine::ReplayTask(const TaskBuffer& buffer) {
       emission_map_cells_[ei]->Merge(buffer.map_counters[ei]);
     }
   }
+}
+
+Status Engine::ApplyTask(const TaskBuffer& buffer) {
+  ApplyCounts counts = NewApplyCounts();
+  for (const RecordBucket& bucket : buffer.buckets) {
+    ApplyRecords(bucket, &counts);
+  }
+  FoldApplyCounts(counts);
+  FoldTaskCounters(buffer);
   // A failing task aborts after its own partial records.
   return buffer.status;
 }
@@ -786,15 +884,14 @@ void Engine::FillThreadStats(uint64_t steals0, uint64_t busy0) {
   }
 }
 
-void Engine::MarkRecompute(int attr, VertexId v) {
+bool Engine::SetRecomputeMark(int attr, VertexId v) {
   auto& marks = monoid_marks_[attr];
   if (marks.empty()) {
     marks.assign(static_cast<size_t>(store_->num_vertices()), 0);
   }
-  if (marks[static_cast<size_t>(v)] == 0) {
-    marks[static_cast<size_t>(v)] = 1;
-    recompute_sets_[attr].push_back(v);
-  }
+  if (marks[static_cast<size_t>(v)] != 0) return false;
+  marks[static_cast<size_t>(v)] = 1;
+  return true;
 }
 
 void Engine::UnmarkRecompute(int attr, VertexId v) {
@@ -1390,7 +1487,7 @@ Status Engine::RunDeltaTraverse(Timestamp t, Superstep s,
   // activation) with multiplicity −1; pass B asserts the new ones. Both
   // are queued as one batch: retraction only writes accumulator state,
   // which Traverse never reads (accumulators are write-only outside
-  // Update), and the replay applies all of A before any of B.
+  // Update), and the apply takes all of A before any of B.
   {
     std::vector<LevelStream> streams(static_cast<size_t>(k),
                                      LevelStream::kPrevious);
@@ -1542,7 +1639,7 @@ Status Engine::RunDeltaTraverse(Timestamp t, Superstep s,
     // Seek/window sharing: process the sub-queries block-by-block so the
     // pages a block pulls into the buffer pool serve every sub-query
     // before eviction (the batch-processed, annotated IO of §5.3). One
-    // job per (block, plan) keeps that order as the replay order.
+    // job per (block, plan) keeps that order as the apply order.
     std::vector<uint8_t> in_block(static_cast<size_t>(n), 0);
     const size_t block = static_cast<size_t>(options_.window_vertices);
     std::vector<VertexId> all_starts;
@@ -1605,12 +1702,12 @@ Status Engine::RunAnchoredClosing(Timestamp t, int p) {
   ctx.num_vertices = static_cast<double>(n);
   ctx.num_edges = static_cast<double>(store_->num_edges(t));
   // Closing walks cross ΔE at level k; their emissions are recorded into
-  // one buffer and replayed after the scan.
+  // one buffer and applied after the scan.
   WalkJob job;
   job.min_emit_depth = k;
   job.delta_level = k;
   TaskBuffer buffer;
-  buffer.Reset(program_->traverse.emissions.size());
+  buffer.Reset(program_->traverse.emissions.size(), 1);
 
   // EXPLAIN ANALYZE attribution: the anchored plan bypasses the walk
   // enumerator, so its edge probes and predicate evaluations are charged
@@ -1723,7 +1820,7 @@ Status Engine::RunAnchoredClosing(Timestamp t, int p) {
   ITG_RETURN_IF_ERROR(scan_status);
   ITG_RETURN_IF_ERROR(status);
   TraceSpan accumulate_span("accumulate", "engine");
-  return ReplayTask(buffer);
+  return ApplyTask(buffer);
 }
 
 Status Engine::RunMonoidRecompute(Timestamp t, Superstep s) {

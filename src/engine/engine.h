@@ -1,6 +1,7 @@
 #ifndef ITG_ENGINE_ENGINE_H_
 #define ITG_ENGINE_ENGINE_H_
 
+#include <array>
 #include <memory>
 #include <string>
 #include <unordered_set>
@@ -49,7 +50,7 @@ struct EngineOptions {
   /// Worker threads for intra-machine parallel walk enumeration
   /// (§6.2 "in parallel for non-conflicting walks"). 0 = the ITG_THREADS
   /// env var, else hardware_concurrency(). 1 disables the pool: the
-  /// calling thread evaluates and replays every walk task itself. Ignored
+  /// calling thread evaluates and applies every walk task itself. Ignored
   /// (one thread) when num_partitions > 1 (see ARCHITECTURE.md,
   /// "Threading model").
   int num_threads = 0;
@@ -118,6 +119,9 @@ struct RunStats {
   uint64_t parallel_tasks = 0;
   /// Tasks claimed from another worker's queue (imbalance indicator).
   uint64_t steals = 0;
+  /// Walk batches whose records the pool applied by target range
+  /// (Engine::RunWalkJobs). Not in the run report.
+  uint64_t pooled_applies = 0;
   /// Sum over workers of time spent inside pool tasks.
   uint64_t busy_nanos = 0;
   /// Order-independent digest of the audited attribute columns at the
@@ -216,14 +220,31 @@ class Engine {
   std::vector<VertexId> ActiveList(const ColumnSet& cols) const;
   void InitGlobals(std::vector<std::vector<double>>* globals);
 
+  /// What applying one bucket of records did besides writing accumulator
+  /// cells: folded into the run on the caller (FoldApplyCounts), so
+  /// buckets applied on different workers share no counter.
+  struct ApplyCounts {
+    uint64_t applied = 0;
+    /// Accumulate operator counters, one per emission.
+    std::vector<gsa::OperatorCounters> accum;
+    /// Per program attribute: monoid targets newly marked for recompute.
+    std::vector<std::vector<VertexId>> marked;
+  };
+  ApplyCounts NewApplyCounts() const;
+  void FoldApplyCounts(const ApplyCounts& counts);
+
   /// Applies one evaluated emission (value expanded to `emission.width`
   /// doubles) onto the *current* accumulator state, implementing
   /// incremental Accumulate (§5.4): Abelian-group inverse on deletions,
-  /// support counting / recompute marking for monoids. Only ReplayTask
-  /// calls it, in task order, so floating-point accumulation order is the
-  /// same at every thread count.
+  /// support counting / recompute marking for monoids. Only ApplyRecords
+  /// calls it, and every target receives its records in task order, so
+  /// floating-point accumulation order is the same at every thread
+  /// count. Besides `counts` it writes only what belongs to `target`: its
+  /// cells and recompute mark, the globals of a global emission, and the
+  /// shuffle meters of a partitioned run, which applies on one thread.
   void ApplyEmissionValue(const Emission& emission, VertexId target,
-                          const double* values, int mult);
+                          const double* values, int mult,
+                          ApplyCounts* counts);
 
   // ---- walk-job execution ----------------------------------------------
   /// One enumeration request of a superstep: a start set walked over a
@@ -254,7 +275,7 @@ class Engine {
   };
 
   /// One window block of one job's starts (of one machine's share of
-  /// them when partitioned): the unit of evaluation and of replay.
+  /// them when partitioned): the unit of evaluation and of apply order.
   struct WalkTask {
     const WalkJob* job = nullptr;
     const std::vector<VertexId>* starts = nullptr;
@@ -263,7 +284,7 @@ class Engine {
     int machine = 0;
     double num_edges = 0;  // |E| at job->eval_t
   };
-  /// One evaluated emission, applied at replay.
+  /// One evaluated emission, applied after evaluation.
   struct EmissionRecord {
     int emission;
     int mult;
@@ -275,12 +296,26 @@ class Engine {
     VertexId start;
     int64_t delta_id;
   };
-  /// Everything evaluating one task produced, replayed by ReplayTask.
-  struct TaskBuffer {
-    Status status;
+  /// The records of one task whose targets lie in one vertex-id range
+  /// (global emissions go to range 0), in evaluation order.
+  struct RecordBucket {
     std::vector<EmissionRecord> records;
     std::vector<double> values;  // emission.width doubles per record
     std::vector<LineageTag> lineage;
+  };
+  /// An emission's guard outcome and value at the start it was last
+  /// evaluated for. A start-invariant emission's later walks from that
+  /// start in the task reuse them.
+  struct EmissionSlot {
+    VertexId start = -1;
+    bool pass = false;
+    std::array<double, kMaxAttrWidth> value{};
+  };
+  /// Everything evaluating one task produced.
+  struct TaskBuffer {
+    Status status;
+    std::vector<RecordBucket> buckets;  // one per target range
+    std::vector<EmissionSlot> slots;    // one per emission
     // EXPLAIN ANALYZE Map counters, one per emission.
     std::vector<gsa::OperatorCounters> map_counters;
     // Walk counters a worker enumerator gathered for this task (zero
@@ -291,14 +326,18 @@ class Engine {
     uint64_t starts = 0;
     std::vector<WalkEnumerator::LevelCounts> levels;
 
-    void Reset(size_t num_emissions);
+    void Reset(size_t num_emissions, size_t num_buckets);
   };
 
-  /// Runs a batch of jobs: cuts them into tasks, evaluates every task
-  /// into a TaskBuffer and replays the buffers in task order (job-major,
-  /// block-minor). The pool evaluates when it has two or more tasks of an
-  /// unpartitioned run; otherwise the caller evaluates and replays task
-  /// by task (see ARCHITECTURE.md, "Threading model").
+  /// Runs a batch of jobs: cuts them into tasks and evaluates every task
+  /// into a TaskBuffer whose records are bucketed by target range. When
+  /// the jobs hold at least one window block of starts in an
+  /// unpartitioned multi-threaded run, the pool evaluates the tasks and
+  /// then applies the ranges, each range's buckets in task order (one
+  /// range when lineage is on, applied by the caller). Otherwise the
+  /// caller evaluates and applies task by task. Either way every target
+  /// receives its records in task order (job-major, block-minor); see
+  /// ARCHITECTURE.md, "Threading model".
   Status RunWalkJobs(const std::vector<WalkJob>& jobs);
   /// Enumerates one task's walks on `we` into `out`.
   void EvalTask(const WalkTask& task, WalkEnumerator* we,
@@ -306,13 +345,20 @@ class Engine {
   /// The one emission evaluator: for the walk prefix `row[0..depth]`,
   /// filters the program's emissions by depth, the job's min_emit_depth
   /// and monoid marks, checks guards, evaluates and widens the value, and
-  /// appends a record to `out` (plus a LineageTag in lineage mode).
-  /// Thread-safe: reads only evaluation state, never accumulators.
+  /// appends a record to the bucket of its target's range in `out` (plus
+  /// a LineageTag in lineage mode). A start-invariant emission is
+  /// evaluated once per start and reused from `out`'s slot. Thread-safe:
+  /// reads only evaluation state, never accumulators.
   void EvalEmissions(const WalkJob& job, const VertexId* row, int depth,
                      int mult, EvalContext* ctx, TaskBuffer* out) const;
-  /// Applies a task's records in order, feeds lineage, folds the task's
-  /// counters into the run's, and returns the task's status.
-  Status ReplayTask(const TaskBuffer& buffer);
+  /// The one apply loop: applies a bucket's records in order and feeds
+  /// lineage, charging `counts`.
+  void ApplyRecords(const RecordBucket& bucket, ApplyCounts* counts);
+  /// Folds a task's walk and Map counters into the run's.
+  void FoldTaskCounters(const TaskBuffer& buffer);
+  /// Applies all of a task's buckets on the caller, folds its counters,
+  /// and returns the task's status.
+  Status ApplyTask(const TaskBuffer& buffer);
   /// Fills the thread-scaling fields of stats_ from the pool's cumulative
   /// counters (deltas against the given run-start baselines).
   void FillThreadStats(uint64_t steals0, uint64_t busy0);
@@ -353,7 +399,13 @@ class Engine {
   /// column sets.
   void PublishColumnMemory();
 
-  void MarkRecompute(int attr, VertexId v);
+  /// Sets v's recompute mark for `attr`; true when it was not set (the
+  /// caller then queues v). The marks are allocated on first use, or
+  /// before a pooled apply.
+  bool SetRecomputeMark(int attr, VertexId v);
+  void MarkRecompute(int attr, VertexId v) {
+    if (SetRecomputeMark(attr, v)) recompute_sets_[attr].push_back(v);
+  }
   void UnmarkRecompute(int attr, VertexId v);
   void ClearRecomputeState();
 
@@ -422,7 +474,7 @@ class Engine {
   EngineOptions options_;
   // The calling thread's enumerator (inline tasks, and worker 0 of pool
   // batches). It also holds the run's walk counters: the other workers'
-  // counts are folded into it at replay.
+  // counts are folded into it after the apply.
   WalkEnumerator enumerator_;
 
   // ---- intra-machine parallelism ---------------------------------------

@@ -51,6 +51,9 @@ Status WalkEnumerator::LoadWindow(const std::vector<VertexId>& vertices,
   window->mults.clear();
   std::vector<VertexId> adj;
   std::vector<std::pair<VertexId, Multiplicity>> delta_adj;
+  // The window's vertices are sorted, so their base lists are read in
+  // page order: the cursor makes that one pool lookup per page.
+  PageCursor cursor;
   for (VertexId u : vertices) {
     uint32_t begin = static_cast<uint32_t>(window->dsts.size());
     switch (stream) {
@@ -58,7 +61,8 @@ Status WalkEnumerator::LoadWindow(const std::vector<VertexId>& vertices,
       case LevelStream::kPrevious: {
         Timestamp t =
             (stream == LevelStream::kCurrent) ? current_t : previous_t;
-        ITG_RETURN_IF_ERROR(store_->GetAdjacency(pool_, u, t, dir, &adj));
+        ITG_RETURN_IF_ERROR(
+            store_->GetAdjacency(pool_, u, t, dir, &adj, &cursor));
         for (VertexId v : adj) {
           window->dsts.push_back(v);
           window->mults.push_back(1);

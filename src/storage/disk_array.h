@@ -31,20 +31,30 @@ class DiskArray {
 
   static constexpr size_t ElementsPerPage() { return kPageSize / sizeof(T); }
 
-  /// Reads elements [start, start+count) into `out` through `pool`.
-  Status Read(BufferPool* pool, size_t start, size_t count, T* out) const {
+  /// Reads elements [start, start+count) into `out` through `pool`. With
+  /// a `cursor`, a read that falls on the cursor's page reuses it instead
+  /// of looking the page up again, and the cursor ends on the last page
+  /// read.
+  Status Read(BufferPool* pool, size_t start, size_t count, T* out,
+              PageCursor* cursor = nullptr) const {
     if (start + count > size_) {
       return Status::InvalidArgument("DiskArray read out of range");
     }
     constexpr size_t kPerPage = kPageSize / sizeof(T);
+    PageCursor local;
+    PageCursor& pin = cursor != nullptr ? *cursor : local;
     size_t done = 0;
     while (done < count) {
       size_t idx = start + done;
       size_t page_idx = idx / kPerPage;
       size_t in_page = idx % kPerPage;
       size_t n = std::min(count - done, kPerPage - in_page);
-      ITG_ASSIGN_OR_RETURN(auto page, pool->GetPage(pages_[page_idx]));
-      std::memcpy(out + done, page->data() + in_page * sizeof(T),
+      const PageId id = pages_[page_idx];
+      if (pin.page == nullptr || pin.id != id) {
+        ITG_ASSIGN_OR_RETURN(pin.page, pool->GetPage(id));
+        pin.id = id;
+      }
+      std::memcpy(out + done, pin.page->data() + in_page * sizeof(T),
                   n * sizeof(T));
       done += n;
     }

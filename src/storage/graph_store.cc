@@ -108,7 +108,8 @@ const DynamicGraphStore::VertexOverlay* DynamicGraphStore::OverlayAt(
 
 Status DynamicGraphStore::ReadBaseAdjacency(BufferPool* pool, VertexId u,
                                             Direction d,
-                                            std::vector<VertexId>* out) const {
+                                            std::vector<VertexId>* out,
+                                            PageCursor* cursor) const {
   const auto& offsets = (d == Direction::kOut) ? out_offsets_ : in_offsets_;
   const auto& neighbors =
       (d == Direction::kOut) ? out_neighbors_ : in_neighbors_;
@@ -117,13 +118,14 @@ Status DynamicGraphStore::ReadBaseAdjacency(BufferPool* pool, VertexId u,
   out->resize(static_cast<size_t>(end - begin));
   if (begin == end) return Status::OK();
   return neighbors.Read(pool, static_cast<size_t>(begin), out->size(),
-                        out->data());
+                        out->data(), cursor);
 }
 
 Status DynamicGraphStore::GetAdjacency(BufferPool* pool, VertexId u,
                                        Timestamp t, Direction d,
-                                       std::vector<VertexId>* out) const {
-  ITG_RETURN_IF_ERROR(ReadBaseAdjacency(pool, u, d, out));
+                                       std::vector<VertexId>* out,
+                                       PageCursor* cursor) const {
+  ITG_RETURN_IF_ERROR(ReadBaseAdjacency(pool, u, d, out, cursor));
   const VertexOverlay* overlay = OverlayAt(u, t, d);
   if (overlay == nullptr || overlay->entries.empty()) return Status::OK();
   // Merge the sorted base list with the sorted overlay: deletions drop

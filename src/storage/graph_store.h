@@ -58,8 +58,12 @@ class DynamicGraphStore {
   StatusOr<Timestamp> ApplyMutations(const std::vector<EdgeDelta>& batch);
 
   /// Merged adjacency of `u` at snapshot `t` in direction `d`, sorted.
+  /// `cursor`, when given, keeps the last base page pinned across calls
+  /// (see PageCursor): a window of neighboring vertices then costs one
+  /// pool lookup per page rather than one per vertex.
   Status GetAdjacency(BufferPool* pool, VertexId u, Timestamp t, Direction d,
-                      std::vector<VertexId>* out) const;
+                      std::vector<VertexId>* out,
+                      PageCursor* cursor = nullptr) const;
 
   /// Degree of `u` at snapshot `t` (merged view).
   int64_t Degree(VertexId u, Timestamp t, Direction d) const;
@@ -126,7 +130,8 @@ class DynamicGraphStore {
   const VertexOverlay* OverlayAt(VertexId u, Timestamp t, Direction d) const;
   void CheckSnapshot(Timestamp t) const;
   Status ReadBaseAdjacency(BufferPool* pool, VertexId u, Direction d,
-                           std::vector<VertexId>* out) const;
+                           std::vector<VertexId>* out,
+                           PageCursor* cursor = nullptr) const;
 
   VertexId num_vertices_ = 0;
   Timestamp latest_ = 0;

@@ -141,6 +141,17 @@ class BufferPool {
   ByteGauge mem_gauge_;  // mem.buffer_pool.* resident page bytes
 };
 
+/// The page a reader last fetched, kept pinned between reads so a run of
+/// reads inside one page costs one BufferPool::GetPage (one lookup under
+/// the pool mutex) instead of one per read. Owned by a single reader (one
+/// W-Seek window load), never shared between threads. Pages are
+/// immutable once written and the shared_ptr keeps an evicted page valid,
+/// so a read through the cursor returns the bytes a lookup would.
+struct PageCursor {
+  PageId id = 0;
+  std::shared_ptr<const BufferPool::Page> page;  // null: nothing pinned
+};
+
 }  // namespace itg
 
 #endif  // ITG_STORAGE_PAGE_STORE_H_

@@ -75,6 +75,49 @@ TEST(CompilerTest, GuardsFromIfStatements) {
   EXPECT_FALSE(p.traverse.emissions[1].guards[0].second);
 }
 
+TEST(CompilerTest, BuiltInEmissionsAreStartInvariant) {
+  // Every built-in program reads only the start vertex's attributes, so
+  // each emission is evaluated once per start, not once per walk.
+  for (const std::string& source :
+       {PageRankProgram(), QuantizedPageRankProgram(), LabelPropProgram(4),
+        QuantizedLabelPropProgram(4), WccProgram(), BfsProgram(0),
+        TriangleCountProgram(), LccProgram()}) {
+    auto program = CompileProgram(source);
+    ASSERT_TRUE(program.ok()) << program.status().ToString();
+    ASSERT_FALSE((*program)->traverse.emissions.empty());
+    for (const Emission& e : (*program)->traverse.emissions) {
+      EXPECT_TRUE(e.start_invariant) << source;
+    }
+  }
+}
+
+TEST(CompilerTest, DeeperVertexReadsAreNotStartInvariant) {
+  // A guard or value that reads a vertex bound below the start varies
+  // from walk to walk; `u.id` alone does not.
+  auto program = CompileProgram(R"(
+    Vertex (id, active, out_nbrs, acc: Accm<double, SUM>)
+    Initialize (u) {}
+    Traverse (u) {
+      For v in u.out_nbrs {
+        If (v.id > u.id) {
+          v.acc.Accumulate(u.id + v.id);
+        }
+        v.acc.Accumulate(u.id);
+        If (u.id > 3) {
+          v.acc.Accumulate(v);
+        }
+      }
+    }
+    Update (u) {}
+  )");
+  ASSERT_TRUE(program.ok()) << program.status().ToString();
+  const std::vector<Emission>& emissions = (*program)->traverse.emissions;
+  ASSERT_EQ(emissions.size(), 3u);
+  EXPECT_FALSE(emissions[0].start_invariant);  // guard and value read v
+  EXPECT_TRUE(emissions[1].start_invariant);
+  EXPECT_FALSE(emissions[2].start_invariant);  // value is the vertex v
+}
+
 TEST(CompilerTest, RejectsSiblingForLoops) {
   auto program = CompileProgram(R"(
     Vertex (id, active, nbrs)

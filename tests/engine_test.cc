@@ -9,6 +9,7 @@
 #include "engine/engine.h"
 #include "gen/rmat.h"
 #include "gen/workload.h"
+#include "storage/csr.h"
 #include "storage/graph_store.h"
 
 namespace itg {
@@ -269,6 +270,125 @@ TEST(EngineLineageTest, InsertedEdgeEndpointListsItsMutation) {
     }
   }
   EXPECT_GT(checked, 0);
+}
+
+TEST(EngineHoistingTest, QprMapEvaluatesOncePerStartWithOutEdges) {
+  // qpr's one emission, `v.sum.Accumulate(u.rank / u.out_degree)`, is
+  // start-invariant: its value (3 expression nodes) is evaluated once per
+  // active start with out-edges, while tuples still count once per walk.
+  const VertexId n = 1 << 9;
+  const std::vector<Edge> edges =
+      GenerateRmatEdges(n, 4 << 9, {.seed = 61});
+  const Csr csr = Csr::FromEdges(n, edges);
+  auto compiled = CompileProgram(QuantizedPageRankProgram());
+  ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+  const std::unique_ptr<CompiledProgram> program = std::move(compiled).value();
+  auto store_or = DynamicGraphStore::Create(
+      ::testing::TempDir() + "/hoist_qpr", n, edges, {}, &GlobalMetrics());
+  ASSERT_TRUE(store_or.ok());
+  const std::unique_ptr<DynamicGraphStore> store = std::move(store_or).value();
+  const Emission& emission = program->traverse.emissions.at(0);
+  ASSERT_TRUE(emission.start_invariant);
+
+  for (int threads : {1, 4}) {
+    // The active set before superstep s is every vertex at s = 0, then
+    // the active column a run of s supersteps ends with.
+    std::vector<bool> active(static_cast<size_t>(n), true);
+    uint64_t expected_evals = 0;
+    uint64_t expected_tuples = 0;
+    for (int steps = 1; steps <= 4; ++steps) {
+      for (VertexId v = 0; v < n; ++v) {
+        if (!active[static_cast<size_t>(v)] || csr.Degree(v) == 0) continue;
+        expected_evals += 3;
+        expected_tuples += static_cast<uint64_t>(csr.Degree(v));
+      }
+      EngineOptions opts;
+      opts.fixed_supersteps = steps;
+      opts.record_history = false;
+      opts.num_threads = threads;
+      opts.window_vertices = 64;
+      Engine engine(store.get(), program.get(), opts);
+      ASSERT_TRUE(engine.RunOneShot(0).ok());
+      const gsa::OperatorCounters* map =
+          engine.last_profile().Find(emission.map_op);
+      ASSERT_NE(map, nullptr);
+      EXPECT_EQ(map->evals, expected_evals)
+          << "threads=" << threads << " supersteps=" << steps;
+      EXPECT_EQ(map->in_pos, expected_tuples)
+          << "threads=" << threads << " supersteps=" << steps;
+      for (VertexId v = 0; v < n; ++v) {
+        active[static_cast<size_t>(v)] =
+            engine.AttrValue(program->active_attr, v) != 0.0;
+      }
+    }
+  }
+}
+
+TEST(EngineHoistingTest, DeeperVertexEmissionIsEvaluatedPerWalk) {
+  // The guard and value read `v.id`, which varies along a start's walks,
+  // so the emission is evaluated on every walk; the result matches a hand
+  // computation on the caller path and on the pooled apply.
+  const std::string source = R"(
+    Vertex (id, active, out_nbrs, acc: Accm<double, SUM>)
+    Initialize (u) {
+      u.active = true;
+    }
+    Traverse (u) {
+      For v in u.out_nbrs {
+        If (v.id > u.id) {
+          v.acc.Accumulate(u.id + v.id);
+        }
+      }
+    }
+    Update (u) {}
+  )";
+  const VertexId n = 64;
+  std::vector<Edge> edges;
+  for (VertexId u = 0; u < n; ++u) {
+    edges.push_back({u, (u + 1) % n});
+    edges.push_back({u, (u * 7 + 3) % n});
+  }
+  const Csr csr = Csr::FromEdges(n, edges);
+  std::vector<double> expected(static_cast<size_t>(n), 0.0);
+  uint64_t passing = 0;
+  for (VertexId u = 0; u < n; ++u) {
+    for (VertexId v : csr.Neighbors(u)) {
+      if (v <= u) continue;
+      expected[static_cast<size_t>(v)] += static_cast<double>(u + v);
+      ++passing;
+    }
+  }
+  auto compiled = CompileProgram(source);
+  ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+  const std::unique_ptr<CompiledProgram> program = std::move(compiled).value();
+  const Emission& emission = program->traverse.emissions.at(0);
+  EXPECT_FALSE(emission.start_invariant);
+  auto store_or = DynamicGraphStore::Create(
+      ::testing::TempDir() + "/hoist_vid", n, edges, {}, &GlobalMetrics());
+  ASSERT_TRUE(store_or.ok());
+  const std::unique_ptr<DynamicGraphStore> store = std::move(store_or).value();
+
+  for (int threads : {1, 4}) {
+    EngineOptions opts;
+    opts.record_history = false;
+    opts.num_threads = threads;
+    opts.window_vertices = 8;
+    Engine engine(store.get(), program.get(), opts);
+    ASSERT_TRUE(engine.RunOneShot(0).ok());
+    EXPECT_EQ(engine.last_stats().supersteps, 1);
+    const int acc = engine.AttrIndex("acc");
+    for (VertexId v = 0; v < n; ++v) {
+      EXPECT_EQ(engine.AttrValue(acc, v), expected[static_cast<size_t>(v)])
+          << "threads=" << threads << " v=" << v;
+    }
+    // The guard (3 nodes) on every walk, the value (3) on every passing
+    // walk.
+    const gsa::OperatorCounters* map =
+        engine.last_profile().Find(emission.map_op);
+    ASSERT_NE(map, nullptr);
+    EXPECT_EQ(map->evals, 3 * csr.num_edges() + 3 * passing);
+    EXPECT_EQ(engine.last_stats().pooled_applies, threads > 1 ? 1u : 0u);
+  }
 }
 
 TEST_F(EngineTest, ExplainContainsIncrementalSubqueries) {

@@ -48,7 +48,9 @@ class EngineTestPeer {
   /// Drives one width-1 emission application (insert: mult=+1,
   /// delete: mult=-1) straight into the monoid/support branch.
   void Apply(const Emission& em, VertexId target, double value, double mult) {
-    e_->ApplyEmissionValue(em, target, &value, mult);
+    Engine::ApplyCounts counts = e_->NewApplyCounts();
+    e_->ApplyEmissionValue(em, target, &value, mult, &counts);
+    e_->FoldApplyCounts(counts);
   }
 
  private:

@@ -89,6 +89,65 @@ TEST(DiskArrayTest, RoundTripAcrossPages) {
   EXPECT_FALSE(array->Read(&pool, n - 1, 2, out.data()).ok());
 }
 
+TEST(DiskArrayTest, CursorReadsMatchPlainReadsAcrossPages) {
+  Metrics metrics;
+  auto store = PageStore::Open(TempPath("pages_cursor"), &metrics);
+  ASSERT_TRUE(store.ok());
+  DiskArrayBuilder<int64_t> builder(store->get());
+  const size_t per_page = DiskArray<int64_t>::ElementsPerPage();
+  const size_t n = per_page * 3 + 17;
+  for (size_t i = 0; i < n; ++i) {
+    ASSERT_TRUE(builder.Append(static_cast<int64_t>(i * 7 + 1)).ok());
+  }
+  auto array = builder.Finish();
+  ASSERT_TRUE(array.ok());
+  BufferPool pool(store->get(), 8);
+  // Consecutive runs, the middle ones straddling page boundaries.
+  PageCursor cursor;
+  const std::vector<std::pair<size_t, size_t>> runs = {
+      {0, 10}, {per_page - 5, 10}, {per_page + 5, per_page + 3},
+      {2 * per_page + 8, 3}, {n - 4, 4}};
+  for (const auto& [start, count] : runs) {
+    std::vector<int64_t> plain(count);
+    std::vector<int64_t> pinned(count);
+    ASSERT_TRUE(array->Read(&pool, start, count, plain.data()).ok());
+    ASSERT_TRUE(
+        array->Read(&pool, start, count, pinned.data(), &cursor).ok());
+    EXPECT_EQ(pinned, plain) << "run at " << start;
+  }
+  EXPECT_FALSE(array->Read(&pool, n - 1, 2, nullptr, &cursor).ok());
+}
+
+TEST(DiskArrayTest, CursorCostsOneLookupPerPageTouched) {
+  Metrics metrics;
+  auto store = PageStore::Open(TempPath("pages_lookups"), &metrics);
+  ASSERT_TRUE(store.ok());
+  DiskArrayBuilder<int64_t> builder(store->get());
+  const size_t per_page = DiskArray<int64_t>::ElementsPerPage();
+  const size_t n = per_page * 3;
+  for (size_t i = 0; i < n; ++i) {
+    ASSERT_TRUE(builder.Append(static_cast<int64_t>(i)).ok());
+  }
+  auto array = builder.Finish();
+  ASSERT_TRUE(array.ok());
+  BufferPool pool(store->get(), 8);
+  // 2 * per_page / 16 reads of 16 elements walk pages 0 and 1 in order,
+  // like a W-Seek window of neighboring adjacency lists.
+  PageCursor cursor;
+  int64_t out[16];
+  for (size_t start = 0; start < 2 * per_page; start += 16) {
+    ASSERT_TRUE(array->Read(&pool, start, 16, out, &cursor).ok());
+    ASSERT_EQ(out[0], static_cast<int64_t>(start));
+  }
+  EXPECT_EQ(pool.hits() + pool.misses(), 2u);
+  // Without a cursor every read is a lookup.
+  for (size_t start = 0; start < 2 * per_page; start += 16) {
+    ASSERT_TRUE(array->Read(&pool, start, 16, out).ok());
+  }
+  EXPECT_EQ(pool.hits() + pool.misses(), 2u + 2 * per_page / 16);
+  EXPECT_EQ(pool.misses(), 2u);
+}
+
 TEST(CsrTest, BuildsSortedDedupedAdjacency) {
   std::vector<Edge> edges = {{0, 2}, {0, 1}, {0, 2}, {1, 0}, {2, 2}};
   Csr csr = Csr::FromEdges(3, edges);
