@@ -391,6 +391,63 @@ TEST(EngineHoistingTest, DeeperVertexEmissionIsEvaluatedPerWalk) {
   }
 }
 
+TEST(EngineTaskCutTest, HubStartRunsAsItsOwnTask) {
+  // Vertex 0 is adjacent to every other vertex, which form a ring, so the
+  // first window block holds nearly all of TC's wedges. The multi-hop job
+  // is cut by estimated work: the hub runs alone and the ring vertices in
+  // runs of at most one window, so level 1 loads more windows than there
+  // are blocks, and the same number at every thread count. PageRank's
+  // one-hop job keeps one task, and one level-1 window, per block.
+  const VertexId n = 256;
+  const int window = 16;
+  std::vector<Edge> edges;
+  for (VertexId v = 1; v < n; ++v) {
+    edges.push_back({0, v});
+    edges.push_back({v, v % (n - 1) + 1});
+  }
+  edges = SymmetrizeEdges(edges);
+  auto store_or = DynamicGraphStore::Create(
+      ::testing::TempDir() + "/task_cut_hub", n, edges, {}, &GlobalMetrics());
+  ASSERT_TRUE(store_or.ok());
+  const std::unique_ptr<DynamicGraphStore> store = std::move(store_or).value();
+  const uint64_t blocks = (n + window - 1) / window;
+
+  auto level1_windows = [&](const std::string& source, int threads,
+                            double* cnts) -> uint64_t {
+    auto compiled = CompileProgram(source);
+    EXPECT_TRUE(compiled.ok()) << compiled.status().ToString();
+    if (!compiled.ok()) return 0;
+    const std::unique_ptr<CompiledProgram> program =
+        std::move(compiled).value();
+    EngineOptions opts;
+    opts.fixed_supersteps = 1;
+    opts.record_history = false;
+    opts.num_threads = threads;
+    opts.window_vertices = window;
+    Engine engine(store.get(), program.get(), opts);
+    EXPECT_TRUE(engine.RunOneShot(0).ok());
+    if (cnts != nullptr) {
+      *cnts = engine.GlobalValue(engine.GlobalIndex("cnts"))[0];
+    }
+    const gsa::OperatorCounters* level1 =
+        engine.last_profile().Find(program->traverse.levels.at(0).op);
+    EXPECT_NE(level1, nullptr);
+    return level1 == nullptr ? 0 : level1->windows;
+  };
+
+  double cnts1 = 0;
+  double cnts4 = 0;
+  const uint64_t tc1 = level1_windows(TriangleCountProgram(), 1, &cnts1);
+  const uint64_t tc4 = level1_windows(TriangleCountProgram(), 4, &cnts4);
+  EXPECT_GT(tc1, blocks);
+  EXPECT_EQ(tc1, tc4);
+  // One triangle per ring edge, each with the hub.
+  EXPECT_EQ(cnts1, static_cast<double>(n - 1));
+  EXPECT_EQ(cnts4, cnts1);
+  EXPECT_EQ(level1_windows(PageRankProgram(), 1, nullptr), blocks);
+  EXPECT_EQ(level1_windows(PageRankProgram(), 4, nullptr), blocks);
+}
+
 TEST_F(EngineTest, ExplainContainsIncrementalSubqueries) {
   Build(GenerateRmatEdges(1 << 6, 2 << 6, {.seed = 59}), 1 << 6,
         TriangleCountProgram());
