@@ -65,8 +65,8 @@ struct ScalingRow {
   uint64_t tasks = 0;
 };
 
-// Fine shards (one task per 16-vertex window block) so stealing can
-// balance the RMAT hub skew; applied identically at every thread count,
+// Fine shards (tasks of at most one 16-vertex window block) so stealing
+// can balance the RMAT hub skew; applied identically at every thread count,
 // so the comparison is strong scaling at a fixed configuration.
 constexpr int kScalingWindow = 16;
 

@@ -274,8 +274,9 @@ class Engine {
     Timestamp previous_t = 0;
   };
 
-  /// One window block of one job's starts (of one machine's share of
-  /// them when partitioned): the unit of evaluation and of apply order.
+  /// A run of consecutive starts of one job (of one machine's share of
+  /// them when partitioned), at most one window block: the unit of
+  /// evaluation and of apply order.
   struct WalkTask {
     const WalkJob* job = nullptr;
     const std::vector<VertexId>* starts = nullptr;
@@ -336,7 +337,7 @@ class Engine {
   /// then applies the ranges, each range's buckets in task order (one
   /// range when lineage is on, applied by the caller). Otherwise the
   /// caller evaluates and applies task by task. Either way every target
-  /// receives its records in task order (job-major, block-minor); see
+  /// receives its records in task order (job-major, start-minor); see
   /// ARCHITECTURE.md, "Threading model".
   Status RunWalkJobs(const std::vector<WalkJob>& jobs);
   /// Enumerates one task's walks on `we` into `out`.
