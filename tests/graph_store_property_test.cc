@@ -4,7 +4,9 @@
 // the same operations, at the latest snapshot and at the one before it.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <tuple>
 
 #include "common/rng.h"
 #include "gen/rmat.h"
@@ -77,15 +79,18 @@ TEST_P(GraphStorePropertyTest, ReadsMatchModelAcrossSnapshots) {
     }
   };
 
+  // Vertices a batch touched whose degree at t equals the one at t − 1:
+  // the case where a degree kept per snapshot must not drift.
+  int returned_degrees = 0;
   for (Timestamp t = 1; t <= 6; ++t) {
-    // Random batch respecting the workload invariant. Each batch first
-    // touches one pivot vertex both as a source and as a destination.
+    // Random batch respecting the workload invariant: every operation is
+    // checked against the edge set as the batch's earlier operations left
+    // it. Each batch first touches one pivot vertex both as a source and
+    // as a destination.
     const std::set<Edge> prev_model = model;
     std::vector<EdgeDelta> batch;
     std::set<Edge> touched;
     auto toggle = [&](Edge e) {
-      if (e.src == e.dst || touched.contains(e)) return;
-      touched.insert(e);
       if (model.contains(e)) {
         batch.push_back({e, -1});
         model.erase(e);
@@ -94,20 +99,43 @@ TEST_P(GraphStorePropertyTest, ReadsMatchModelAcrossSnapshots) {
         model.insert(e);
       }
     };
+    auto toggle_once = [&](Edge e) {
+      if (e.src == e.dst || !touched.insert(e).second) return;
+      toggle(e);
+    };
     const VertexId pivot = static_cast<VertexId>(rng.Uniform(n));
     auto other = [&] {
       return static_cast<VertexId>((pivot + 1 + rng.Uniform(n - 1)) % n);
     };
-    toggle({pivot, other()});
-    toggle({other(), pivot});
+    toggle_once({pivot, other()});
+    toggle_once({other(), pivot});
     for (int i = 0; i < 20; ++i) {
-      toggle({static_cast<VertexId>(rng.Uniform(n)),
-              static_cast<VertexId>(rng.Uniform(n))});
+      toggle_once({static_cast<VertexId>(rng.Uniform(n)),
+                   static_cast<VertexId>(rng.Uniform(n))});
+    }
+    // Even batches toggle the pivot's two edges and one random edge of
+    // the batch a second time (insert then delete, or delete then
+    // re-insert), as the serving daemon's ingest validation admits.
+    if (t % 2 == 0) {
+      toggle(batch[0].edge);
+      toggle(batch[1].edge);
+      toggle(batch[rng.Uniform(batch.size())].edge);
     }
     ASSERT_TRUE(store->ApplyMutations(batch).ok());
 
     check_snapshot(t, model);
     check_snapshot(t - 1, prev_model);
+    auto degree = [](const std::set<Edge>& m, VertexId u, Direction d) {
+      return std::count_if(m.begin(), m.end(), [&](const Edge& e) {
+        return (d == Direction::kOut ? e.src : e.dst) == u;
+      });
+    };
+    for (const EdgeDelta& d : batch) {
+      returned_degrees += degree(model, d.edge.src, Direction::kOut) ==
+                          degree(prev_model, d.edge.src, Direction::kOut);
+      returned_degrees += degree(model, d.edge.dst, Direction::kIn) ==
+                          degree(prev_model, d.edge.dst, Direction::kIn);
+    }
 
     // The delta scan replays exactly the applied batch (sorted by src).
     std::vector<EdgeDelta> scanned;
@@ -118,16 +146,15 @@ TEST_P(GraphStorePropertyTest, ReadsMatchModelAcrossSnapshots) {
                                  })
                     .ok());
     ASSERT_EQ(scanned.size(), batch.size());
-    std::sort(batch.begin(), batch.end(),
-              [](const EdgeDelta& a, const EdgeDelta& b) {
-                return a.edge < b.edge;
-              });
-    std::sort(scanned.begin(), scanned.end(),
-              [](const EdgeDelta& a, const EdgeDelta& b) {
-                return a.edge < b.edge;
-              });
+    // An edge toggled twice appears twice, once with each multiplicity.
+    auto by_edge = [](const EdgeDelta& a, const EdgeDelta& b) {
+      return std::tie(a.edge, a.mult) < std::tie(b.edge, b.mult);
+    };
+    std::sort(batch.begin(), batch.end(), by_edge);
+    std::sort(scanned.begin(), scanned.end(), by_edge);
     EXPECT_EQ(scanned, batch);
   }
+  EXPECT_GT(returned_degrees, 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, GraphStorePropertyTest,
