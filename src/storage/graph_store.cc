@@ -28,6 +28,15 @@ StatusOr<std::unique_ptr<DynamicGraphStore>> DynamicGraphStore::Create(
   store->base_num_edges_ = out_csr.num_edges();
   store->out_offsets_ = out_csr.offsets();
   store->in_offsets_ = in_csr.offsets();
+  auto init_degrees = [num_vertices](const Csr& csr, Overlay* overlay) {
+    overlay->degree.resize(static_cast<size_t>(num_vertices));
+    for (VertexId u = 0; u < num_vertices; ++u) {
+      overlay->degree[u] = csr.Degree(u);
+    }
+    overlay->prev_degree = overlay->degree;
+  };
+  init_degrees(out_csr, &store->out_overlay_);
+  init_degrees(in_csr, &store->in_overlay_);
 
   DiskArrayBuilder<VertexId> out_builder(store->page_store_.get());
   ITG_RETURN_IF_ERROR(out_builder.AppendRange(out_csr.neighbors().data(),
@@ -74,10 +83,16 @@ StatusOr<Timestamp> DynamicGraphStore::ApplyMutations(
     } else {
       cur.entries.insert(it, {dst, m});
     }
-    cur.degree_delta += m;
+    overlay.degree[src] += m;
   };
-  out_overlay_.undo.clear();
-  in_overlay_.undo.clear();
+  // The latest snapshot becomes the previous one: the degrees differ only
+  // on the vertices the last batch touched, which its undo log holds.
+  for (Overlay* overlay : {&out_overlay_, &in_overlay_}) {
+    for (const auto& entry : overlay->undo) {
+      overlay->prev_degree[entry.first] = overlay->degree[entry.first];
+    }
+    overlay->undo.clear();
+  }
   prev_num_edges_ = num_edges_;
   for (const EdgeDelta& d : batch) {
     apply(out_overlay_, d.edge.src, d.edge.dst, d.mult);
@@ -86,12 +101,6 @@ StatusOr<Timestamp> DynamicGraphStore::ApplyMutations(
   }
   latest_ = t;
   return t;
-}
-
-void DynamicGraphStore::CheckSnapshot(Timestamp t) const {
-  ITG_CHECK(t == latest_ || (latest_ > 0 && t == latest_ - 1))
-      << "snapshot " << t << " view unavailable (only latest and previous "
-      << "snapshots are retained); latest=" << latest_;
 }
 
 const DynamicGraphStore::VertexOverlay* DynamicGraphStore::OverlayAt(
@@ -151,14 +160,6 @@ Status DynamicGraphStore::GetAdjacency(BufferPool* pool, VertexId u,
   }
   *out = std::move(merged);
   return Status::OK();
-}
-
-int64_t DynamicGraphStore::Degree(VertexId u, Timestamp t, Direction d) const {
-  const auto& offsets = (d == Direction::kOut) ? out_offsets_ : in_offsets_;
-  int64_t degree = offsets[u + 1] - offsets[u];
-  const VertexOverlay* overlay = OverlayAt(u, t, d);
-  if (overlay != nullptr) degree += overlay->degree_delta;
-  return degree;
 }
 
 StatusOr<bool> DynamicGraphStore::HasEdge(BufferPool* pool, VertexId u,
