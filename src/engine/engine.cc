@@ -435,6 +435,7 @@ void Engine::ResetAccumulators(ColumnSet* cols) {
 }
 
 std::vector<VertexId> Engine::ActiveList(const ColumnSet& cols) const {
+  TraceSpan span("plan", "engine");
   std::vector<VertexId> active;
   const double* col = cols.Column(program_->active_attr).data();
   for (VertexId v = 0; v < store_->num_vertices(); ++v) {
@@ -1046,17 +1047,42 @@ void Engine::RunUpdatePhase(Timestamp t, const std::vector<VertexId>* domain,
   }
 }
 
+namespace {
+
+// True if any of `attrs` differs at `v` between two column sets.
+bool AnyCellDiffers(const ColumnSet& a, const ColumnSet& b,
+                    const std::vector<int>& attrs, VertexId v) {
+  for (int attr : attrs) {
+    if (ColumnSet::CellDiffers(a, b, attr, v)) return true;
+  }
+  return false;
+}
+
+}  // namespace
+
 void Engine::CollectChanged(const ColumnSet& a, const ColumnSet& b,
                             const std::vector<int>& attrs,
                             std::vector<VertexId>* out) const {
   TraceSpan span("collect_changed", "engine");
   out->clear();
   for (VertexId v = 0; v < store_->num_vertices(); ++v) {
-    for (int attr : attrs) {
-      if (ColumnSet::CellDiffers(a, b, attr, v)) {
-        out->push_back(v);
-        break;
-      }
+    if (AnyCellDiffers(a, b, attrs, v)) out->push_back(v);
+  }
+}
+
+void Engine::CollectUpdateDomain(std::vector<VertexId>* accm_changed,
+                                 std::vector<VertexId>* domain) const {
+  TraceSpan span("collect_changed", "engine");
+  accm_changed->clear();
+  domain->clear();
+  const std::vector<int>& accm_attrs = AccmFileAttrs();
+  const std::vector<int>& attrs = NonAccmAttrs();
+  for (VertexId v = 0; v < store_->num_vertices(); ++v) {
+    if (AnyCellDiffers(cur_cols_, prev_cols_, accm_attrs, v)) {
+      accm_changed->push_back(v);
+      domain->push_back(v);
+    } else if (AnyCellDiffers(cur_cols_, prev_cols_, attrs, v)) {
+      domain->push_back(v);
     }
   }
 }
@@ -1066,14 +1092,26 @@ Status Engine::WriteDeltaFiles(Timestamp t, Superstep s,
                                const std::vector<VertexId>& candidates,
                                const ColumnSet& values,
                                const ColumnSet* reference_a,
-                               const ColumnSet* reference_b) {
+                               const ColumnSet* reference_b,
+                               const std::vector<VertexId>* more_candidates) {
   TraceSpan span("write_deltas", "engine", s);
+  const std::vector<VertexId>* vertices = &candidates;
+  std::vector<VertexId> united;
+  if (more_candidates != nullptr) {
+    std::vector<uint8_t> marked(static_cast<size_t>(store_->num_vertices()));
+    for (VertexId v : candidates) marked[static_cast<size_t>(v)] = 1;
+    for (VertexId v : *more_candidates) marked[static_cast<size_t>(v)] = 1;
+    for (VertexId v = 0; v < store_->num_vertices(); ++v) {
+      if (marked[static_cast<size_t>(v)]) united.push_back(v);
+    }
+    vertices = &united;
+  }
   VertexStore* vs = store_->vertex_store();
   const bool keep_all = reference_a == nullptr && reference_b == nullptr;
   std::vector<VertexId> vids;
   for (int attr : attrs) {
     vids.clear();
-    for (VertexId v : candidates) {
+    for (VertexId v : *vertices) {
       if (keep_all ||
           (reference_a != nullptr &&
            ColumnSet::CellDiffers(values, *reference_a, attr, v)) ||
@@ -1353,9 +1391,12 @@ Status Engine::RunIncremental(Timestamp t) {
     }
     stats_.delta_walk_emissions += stats_.emissions_applied - emissions0;
 
-    // Persist accumulator deltas: cross-snapshot changes.
+    // Cross-snapshot changes: the accumulator deltas to persist, and the
+    // ΔUpdate domain (any attribute or accumulator difference vs the
+    // previous snapshot at this superstep).
     std::vector<VertexId> accm_changed;
-    CollectChanged(cur_cols_, prev_cols_, AccmFileAttrs(), &accm_changed);
+    std::vector<VertexId> domain;
+    CollectUpdateDomain(&accm_changed, &domain);
     if (options_.record_history) {
       ITG_RETURN_IF_ERROR(WriteDeltaFiles(t, s, AccmFileAttrs(),
                                           accm_changed, cur_cols_,
@@ -1363,21 +1404,6 @@ Status Engine::RunIncremental(Timestamp t) {
     }
 
     // --- ΔUpdate ----------------------------------------------------------
-    // Domain: any attribute or accumulator difference vs the previous
-    // snapshot at this superstep.
-    std::vector<VertexId> domain;
-    CollectChanged(cur_cols_, prev_cols_, NonAccmAttrs(), &domain);
-    {
-      std::vector<uint8_t> in_domain(static_cast<size_t>(n), 0);
-      for (VertexId v : domain) in_domain[static_cast<size_t>(v)] = 1;
-      for (VertexId v : accm_changed) {
-        if (!in_domain[static_cast<size_t>(v)]) {
-          in_domain[static_cast<size_t>(v)] = 1;
-          domain.push_back(v);
-        }
-      }
-    }
-    std::sort(domain.begin(), domain.end());
     // Per-superstep plan diagnostics; enable with ITG_LOG_LEVEL=debug.
     ITG_LOG(Debug) << "t=" << t << " s=" << s
                    << " plan=" << (recompute ? "recompute" : "delta")
@@ -1405,10 +1431,6 @@ Status Engine::RunIncremental(Timestamp t) {
       }
     }
     charge_shared_seconds(overlay_watch.ElapsedSeconds());
-    std::sort(scratch_changed.begin(), scratch_changed.end());
-    scratch_changed.erase(
-        std::unique(scratch_changed.begin(), scratch_changed.end()),
-        scratch_changed.end());
 
     // Advance cur: identical to prev everywhere outside the domain.
     // Virtual attributes (degrees) stay snapshot-bound and are excluded.
@@ -1437,16 +1459,11 @@ Status Engine::RunIncremental(Timestamp t) {
 
     if (options_.record_history) {
       // File condition (§5.5): changed vs previous superstep OR vs the
-      // previous snapshot at this superstep.
-      std::vector<VertexId> candidates = domain;
-      candidates.insert(candidates.end(), scratch_changed.begin(),
-                        scratch_changed.end());
-      std::sort(candidates.begin(), candidates.end());
-      candidates.erase(std::unique(candidates.begin(), candidates.end()),
-                       candidates.end());
-      ITG_RETURN_IF_ERROR(WriteDeltaFiles(t, s + 1, AttrFileAttrs(),
-                                          candidates, cur_cols_,
-                                          &prev_cols_, &cur_snapshot));
+      // previous snapshot at this superstep. The candidates are the
+      // domain and the vertices the overlay changed.
+      ITG_RETURN_IF_ERROR(WriteDeltaFiles(t, s + 1, AttrFileAttrs(), domain,
+                                          cur_cols_, &prev_cols_,
+                                          &cur_snapshot, &scratch_changed));
     }
     RecordSuperstep(s, /*incremental=*/true, cur_active.size(),
                     changed_starts.size(), ss_emissions0, ss_windows0,
@@ -1488,6 +1505,7 @@ bool Engine::RecomputeIsCheaper(
   // Lineage attributes a mutation id through the q_es_p walk that
   // crossed the Δ edge; a recompute has no such walk.
   if (!one_hop_recomputable_ || lineage_ != nullptr) return false;
+  TraceSpan span("plan", "engine");
   // Retract and assert both walk the old adjacency.
   const Direction dir = program_->traverse.levels[0].dir;
   const double* prev_active = prev_cols_.Column(program_->active_attr).data();

@@ -434,14 +434,25 @@ class Engine {
   void CollectChanged(const ColumnSet& a, const ColumnSet& b,
                       const std::vector<int>& attrs,
                       std::vector<VertexId>* out) const;
+  /// One diff of cur_cols_ against prev_cols_ after an incremental
+  /// superstep's walks: `accm_changed` receives the vertices whose
+  /// accumulator cells differ, `domain` those whose accumulator or
+  /// attribute cells differ (the ΔUpdate domain), both ascending.
+  void CollectUpdateDomain(std::vector<VertexId>* accm_changed,
+                           std::vector<VertexId>* domain) const;
 
   /// Writes F(t, s) files for `attrs`: after-images of candidate vertices
   /// whose value differs from either reference (both null = keep all).
+  /// The candidates are `candidates`, ascending; with `more_candidates`
+  /// (any order, duplicates allowed) they are the union of both lists,
+  /// marked into a |V| byte map and collected by one ascending scan.
   Status WriteDeltaFiles(Timestamp t, Superstep s,
                          const std::vector<int>& attrs,
                          const std::vector<VertexId>& candidates,
                          const ColumnSet& values, const ColumnSet* reference_a,
-                         const ColumnSet* reference_b);
+                         const ColumnSet* reference_b,
+                         const std::vector<VertexId>* more_candidates =
+                             nullptr);
 
   // ---- incremental machinery ------------------------------------------
   /// The per-superstep plan choice: true when recomputing the superstep
