@@ -183,6 +183,10 @@ Status WalkEnumerator::Extend(
   LevelCounts& lc = level_counts_[static_cast<size_t>(level - 1)];
   const size_t num_prefixes = prefixes.size() / prefix_len;
   if (num_prefixes == 0) return Status::OK();
+  // Exclusive time of the level: the frontier index and the prefix
+  // grouping below, then each window chunk up to the recursion into
+  // deeper levels.
+  Stopwatch level_timer;
 
   // The distinct frontier vertices (the W-Seek input) and each prefix's
   // position in them, found once. A stable counting sort then groups the
@@ -225,7 +229,6 @@ Status WalkEnumerator::Extend(
     const size_t ce = std::min(frontier.size(), cb + chunk);
     std::vector<VertexId> chunk_vertices(frontier.begin() + cb,
                                          frontier.begin() + ce);
-    Stopwatch level_timer;
     ITG_RETURN_IF_ERROR(LoadWindow(chunk_vertices, stream, spec.dir,
                                    current_t, previous_t, &window));
     ++lc.windows;
@@ -328,13 +331,13 @@ Status WalkEnumerator::Extend(
       }
     }
     }
-    // Exclusive time: the timer stops before recursing into deeper levels.
     lc.wall_nanos += static_cast<uint64_t>(level_timer.ElapsedNanos());
     if (level < max_depth && !next_prefixes.empty()) {
       ITG_RETURN_IF_ERROR(Extend(level + 1, next_prefixes, next_mults,
                                  prefix_len + 1, streams, current_t,
                                  previous_t, level_allow, max_depth, sink));
     }
+    level_timer.Restart();
   }
   return Status::OK();
 }

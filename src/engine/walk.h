@@ -50,8 +50,9 @@ class WalkEnumerator {
   /// belongs to level i+1, i.e. the plans' `es_{i+1}` stream operator
   /// (LevelSpec::op). `out_*` counts walk tuples fired at that depth by
   /// multiplicity sign; `evals` counts expression nodes the general-
-  /// conjunct residue evaluated; `wall_nanos` is exclusive of deeper
-  /// levels. All fields except wall are deterministic.
+  /// conjunct residue evaluated; `wall_nanos` is the level's own time
+  /// (frontier index, prefix grouping, W-Seek and W-Join), exclusive of
+  /// deeper levels. All fields except wall are deterministic.
   struct LevelCounts {
     uint64_t windows = 0;
     uint64_t edges = 0;
