@@ -293,7 +293,9 @@ TEST(ParallelDeterminismTest, ProfilerDoesNotChangeResults) {
                     "unprofiled_t" + std::to_string(threads));
     WallProfiler& prof = WallProfiler::Global();
     prof.Reset();
-    prof.Start();
+    // 1 kHz rather than the default 97 Hz: the pipeline can finish
+    // within one default sampler period.
+    prof.Start(1000);
     Fingerprint profiled =
         RunPipeline(PageRankProgram(), false, 0.75, 10, threads,
                     "profiled_t" + std::to_string(threads));
