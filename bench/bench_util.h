@@ -6,6 +6,8 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include "algos/programs.h"
 #include "algos/reference.h"
 #include "common/logging.h"
@@ -15,12 +17,15 @@
 
 namespace itg::bench {
 
-/// Fresh temp path prefix for a store.
+/// Fresh temp path prefix for a store. The process id keeps benches
+/// started at once from opening each other's store files.
 inline std::string TempPath(const std::string& name) {
   static int counter = 0;
   auto dir = std::filesystem::temp_directory_path() / "itg_bench";
   std::filesystem::create_directories(dir);
-  return (dir / (name + "_" + std::to_string(counter++))).string();
+  return (dir / (name + "_" + std::to_string(getpid()) + "_" +
+                 std::to_string(counter++)))
+      .string();
 }
 
 /// The paper's default workload mix (§6.1): 75:25 insertions:deletions,

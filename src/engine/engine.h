@@ -107,6 +107,10 @@ struct RunStats {
   /// new snapshot instead of running the Δ plan, because that scanned
   /// fewer edges (Engine::RecomputeIsCheaper). Not in the run report.
   uint64_t recomputed_supersteps = 0;
+  /// Supersteps whose accumulators the pull kernel computed
+  /// (Engine::PullAccumulators) instead of the record path. Not in the
+  /// run report.
+  uint64_t pulled_supersteps = 0;
   uint64_t windows_loaded = 0;
   uint64_t edges_scanned = 0;
   double seconds = 0;
@@ -115,8 +119,11 @@ struct RunStats {
   /// Worker threads the run was allowed to use (1 when single-threaded
   /// or partitioned).
   int threads = 1;
-  /// Walk-shard tasks executed through the thread pool.
+  /// Walk-shard and pull tasks executed through the thread pool.
   uint64_t parallel_tasks = 0;
+  /// Update shards executed through the thread pool (RunUpdatePhase).
+  /// Not in the run report.
+  uint64_t update_tasks = 0;
   /// Tasks claimed from another worker's queue (imbalance indicator).
   uint64_t steals = 0;
   /// Walk batches whose records the pool applied by target range
@@ -360,6 +367,8 @@ class Engine {
   /// Applies all of a task's buckets on the caller, folds its counters,
   /// and returns the task's status.
   Status ApplyTask(const TaskBuffer& buffer);
+  /// The worker pool, created on first use.
+  ThreadPool& Pool();
   /// Fills the thread-scaling fields of stats_ from the pool's cumulative
   /// counters (deltas against the given run-start baselines).
   void FillThreadStats(uint64_t steals0, uint64_t busy0);
@@ -416,8 +425,22 @@ class Engine {
 
   /// Resets the current accumulators and walks `starts` over snapshot t
   /// with emissions evaluated on the current state: a one-shot superstep,
-  /// and the recompute plan of an incremental one.
+  /// and the recompute plan of an incremental one. A dense frontier
+  /// (PullIsDense) takes PullAccumulators instead of the walk.
   Status RecomputeAccumulators(Timestamp t, std::vector<VertexId> starts);
+  /// True when the program has the pull's shape, the run is unpartitioned
+  /// and without lineage, and `starts` reach a large share of E_t:
+  /// kPullDensity · Σ deg_t(starts) ≥ |E_t|. Reads only the job.
+  bool PullIsDense(Timestamp t, const std::vector<VertexId>& starts) const;
+  /// The record-free one-hop superstep. Each start's emissions are
+  /// evaluated once into dense pass and value columns (on the pool by
+  /// start ranges), then each task owns a range of window_vertices
+  /// targets and pulls over their reverse adjacency at t, folding the
+  /// passing sources in ascending id order: the order in which the
+  /// record path applies a target's records, so the bits are the same.
+  /// Charges the Walk, Map and Accumulate counters of the walk it
+  /// replaces.
+  Status PullAccumulators(Timestamp t, const std::vector<VertexId>& starts);
 
   /// Runs Update on cur_cols_ for the vertices of `domain` that received a
   /// contribution (V_accm); Update re-activates. With a null domain every
@@ -496,6 +519,11 @@ class Engine {
   // Walk length 1 and no global emission: an incremental superstep may
   // recompute instead of running the Δ plan (RecomputeIsCheaper).
   bool one_hop_recomputable_ = false;
+  // One level with no Where clause, and every emission start-invariant,
+  // non-global and aimed at the neighbour: a dense superstep may pull
+  // (PullIsDense). Tests clear it through EngineTestPeer to keep every
+  // superstep on the record path.
+  bool pull_shape_ = false;
   int num_threads_ = 1;
   std::unique_ptr<ThreadPool> pool_threads_;  // lazily created
   // Enumerators of pool workers 1..num_threads_-1 (worker 0 is the caller

@@ -38,8 +38,10 @@ class EngineTest : public ::testing::Test {
 };
 
 TEST_F(EngineTest, StatsPopulatedAfterRuns) {
+  EngineOptions options;
+  options.fixed_supersteps = 5;
   Build(GenerateRmatEdges(1 << 8, 3 << 8, {.seed = 51}), 1 << 8,
-        PageRankProgram(), {.fixed_supersteps = 5});
+        PageRankProgram(), options);
   ASSERT_TRUE(engine_->RunOneShot(0).ok());
   const RunStats& one = engine_->last_stats();
   EXPECT_FALSE(one.incremental);
@@ -116,8 +118,10 @@ TEST_F(EngineTest, AttrAndGlobalIndexLookups) {
 
 TEST_F(EngineTest, RecordHistoryOffStillComputesCorrectly) {
   auto edges = GenerateRmatEdges(1 << 8, 3 << 8, {.seed = 57});
-  Build(edges, 1 << 8, PageRankProgram(),
-        {.fixed_supersteps = 10, .record_history = false});
+  EngineOptions options;
+  options.fixed_supersteps = 10;
+  options.record_history = false;
+  Build(edges, 1 << 8, PageRankProgram(), options);
   ASSERT_TRUE(engine_->RunOneShot(0).ok());
   Csr csr = Csr::FromEdges(1 << 8, edges);
   auto expected = RefPageRank(csr, 10);

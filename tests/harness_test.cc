@@ -16,10 +16,18 @@ std::string TempPath(const std::string& name) {
   return ::testing::TempDir() + "/harness_" + n;
 }
 
+/// Options of an undirected harness whose store lives at TempPath(name).
+HarnessOptions SymmetricOptions(const std::string& name) {
+  HarnessOptions options;
+  options.symmetric = true;
+  options.path = TempPath(name);
+  return options;
+}
+
 TEST(HarnessTest, TracksCurrentEdgesAcrossSteps) {
   auto harness_or = Harness::Create(
       WccProgram(), 1 << 8, GenerateRmatEdges(1 << 8, 3 << 8, {.seed = 1}),
-      {.symmetric = true, .path = TempPath("track")});
+      SymmetricOptions("track"));
   ASSERT_TRUE(harness_or.ok()) << harness_or.status().ToString();
   auto harness = std::move(harness_or).value();
   ASSERT_TRUE(harness->RunOneShot().ok());
@@ -38,7 +46,7 @@ TEST(HarnessTest, FreshOneShotMatchesIncrementalState) {
   auto harness_or = Harness::Create(
       TriangleCountProgram(), 1 << 8,
       GenerateRmatEdges(1 << 8, 3 << 8, {.seed = 2}),
-      {.symmetric = true, .path = TempPath("fresh")});
+      SymmetricOptions("fresh"));
   ASSERT_TRUE(harness_or.ok());
   auto harness = std::move(harness_or).value();
   ASSERT_TRUE(harness->RunOneShot().ok());
@@ -57,7 +65,7 @@ TEST(HarnessTest, LongRunTriangleCountStaysExact) {
   const VertexId n = 1 << 8;
   auto harness_or = Harness::Create(
       TriangleCountProgram(), n, GenerateRmatEdges(n, 3 << 8, {.seed = 3}),
-      {.symmetric = true, .path = TempPath("long")});
+      SymmetricOptions("long"));
   ASSERT_TRUE(harness_or.ok());
   auto harness = std::move(harness_or).value();
   ASSERT_TRUE(harness->RunOneShot().ok());
@@ -76,7 +84,7 @@ TEST(HarnessTest, LongRunTriangleCountStaysExact) {
 /// (chain merges, bytes written) does not grow with the history behind it.
 TEST(HarnessTest, LongRunWccStaysExact) {
   const VertexId n = 1 << 8;
-  HarnessOptions options{.symmetric = true, .path = TempPath("longwcc")};
+  HarnessOptions options = SymmetricOptions("longwcc");
   options.engine.num_threads = 2;
   auto harness_or = Harness::Create(
       WccProgram(), n, GenerateRmatEdges(n, 3 << 8, {.seed = 4}), options);

@@ -25,6 +25,14 @@
 #include "storage/graph_store.h"
 
 namespace itg {
+
+/// Befriended by Engine: turns the pull kernel off, so every superstep
+/// takes the record path the pull shadows.
+class EngineTestPeer {
+ public:
+  static void DisablePull(Engine* engine) { engine->pull_shape_ = false; }
+};
+
 namespace {
 
 uint64_t BitsOf(double d) {
@@ -51,9 +59,16 @@ struct Fingerprint {
   /// Page reads of the store's buffer pool over the pipeline (not
   /// compared: the interleaving decides which pages are evicted).
   uint64_t pool_misses = 0;
-  /// Walk tasks the one-shot ran on the pool (not compared: 0 at one
-  /// thread).
+  /// Walk and pull tasks the one-shot ran on the pool (not compared: 0
+  /// at one thread), and over the whole pipeline.
   uint64_t oneshot_tasks = 0;
+  uint64_t parallel_tasks = 0;
+  /// Supersteps of the one-shot, and those of them the pull kernel ran;
+  /// incremental supersteps the pull ran. Not compared: they show which
+  /// path a pipeline took.
+  uint64_t oneshot_supersteps = 0;
+  uint64_t oneshot_pulls = 0;
+  uint64_t incremental_pulls = 0;
 
   bool operator==(const Fingerprint& other) const {
     return bits == other.bits && profile_work == other.profile_work &&
@@ -78,6 +93,14 @@ void Capture(const Engine& engine, const CompiledProgram& program,
   fp->emissions += engine.last_stats().emissions_applied;
   fp->recomputed_supersteps += engine.last_stats().recomputed_supersteps;
   fp->pooled_applies += engine.last_stats().pooled_applies;
+  fp->parallel_tasks += engine.last_stats().parallel_tasks;
+  if (engine.last_stats().incremental) {
+    fp->incremental_pulls += engine.last_stats().pulled_supersteps;
+  } else {
+    fp->oneshot_tasks = engine.last_stats().parallel_tasks;
+    fp->oneshot_supersteps = engine.last_stats().supersteps;
+    fp->oneshot_pulls = engine.last_stats().pulled_supersteps;
+  }
   fp->digests.push_back(engine.last_stats().state_digest);
   // The flattened deterministic profile (per-operator counters and
   // superstep timeline, excluding measured wall/cpu time). A length
@@ -87,62 +110,76 @@ void Capture(const Engine& engine, const CompiledProgram& program,
   fp->profile_work.insert(fp->profile_work.end(), work.begin(), work.end());
 }
 
-/// Runs one-shot + 3 incremental steps with `num_threads` workers and
-/// fingerprints the state after every run. `scale` sets 2^scale vertices
-/// and `pool_pages` the store's buffer pool capacity.
-Fingerprint RunPipeline(const std::string& source, bool symmetric,
-                        double insert_ratio, int fixed_supersteps,
-                        int num_threads, const std::string& tag,
-                        int num_partitions = 1, int scale = 9,
-                        size_t pool_pages = 2048) {
-  const VertexId n = VertexId{1} << scale;
+/// One pipeline: a program over 2^scale vertices, run one-shot and then
+/// incrementally over three batches of `batch_size` mutations.
+struct PipelineSpec {
+  std::string source;
+  std::string tag;
+  bool symmetric = false;
+  double insert_ratio = 0.75;
+  int fixed_supersteps = -1;
+  int num_threads = 1;
+  int num_partitions = 1;
+  int scale = 9;
+  /// The store's buffer pool capacity.
+  size_t pool_pages = 2048;
+  size_t batch_size = 60;
+  /// Mutate canonical (min, max) edges, so that a symmetric batch never
+  /// inserts a present edge (DynamicGraphStore's degree contract).
+  bool canonical = false;
+  /// False keeps every superstep on the record path.
+  bool pull = true;
+};
+
+/// Runs the pipeline and fingerprints the state after every run.
+Fingerprint RunPipelineOnce(const PipelineSpec& spec) {
+  const VertexId n = VertexId{1} << spec.scale;
   auto all_edges = GenerateRmatEdges(n, 6 * static_cast<size_t>(n),
                                      {.seed = 99});
-  if (symmetric) {
+  if (spec.symmetric) {
     for (Edge& e : all_edges) {
       if (e.src > e.dst) std::swap(e.src, e.dst);
     }
   }
-  MutationWorkload workload(all_edges, 0.9, 1234);
+  MutationWorkload workload(all_edges, 0.9, 1234, spec.canonical);
   std::vector<Edge> base = workload.initial_edges();
-  std::vector<Edge> base_stored = symmetric ? SymmetrizeEdges(base) : base;
+  std::vector<Edge> base_stored =
+      spec.symmetric ? SymmetrizeEdges(base) : base;
 
-  auto compiled = CompileProgram(source);
+  auto compiled = CompileProgram(spec.source);
   EXPECT_TRUE(compiled.ok()) << compiled.status().ToString();
   auto program = std::move(compiled).value();
 
-  std::string path = ::testing::TempDir() + "/det_" + tag + "_t" +
-                     std::to_string(num_threads);
+  std::string path = ::testing::TempDir() + "/det_" + spec.tag + "_t" +
+                     std::to_string(spec.num_threads);
   DynamicGraphStore::Options store_options;
-  store_options.buffer_pool_pages = pool_pages;
+  store_options.buffer_pool_pages = spec.pool_pages;
   auto store_or = DynamicGraphStore::Create(path, n, base_stored,
                                             store_options, &GlobalMetrics());
   EXPECT_TRUE(store_or.ok()) << store_or.status().ToString();
   auto store = std::move(store_or).value();
 
   EngineOptions opts;
-  opts.fixed_supersteps = fixed_supersteps;
-  opts.num_threads = num_threads;
-  opts.num_partitions = num_partitions;
+  opts.fixed_supersteps = spec.fixed_supersteps;
+  opts.num_threads = spec.num_threads;
+  opts.num_partitions = spec.num_partitions;
   // Small windows => many walk-shard tasks per superstep, so 2- and
   // 8-thread runs genuinely interleave instead of degenerating to one
   // task per job.
   opts.window_vertices = 64;
   Engine engine(store.get(), program.get(), opts);
+  if (!spec.pull) EngineTestPeer::DisablePull(&engine);
 
   Fingerprint fp;
-  uint64_t parallel_tasks = 0;
   EXPECT_TRUE(engine.RunOneShot(0).ok());
   Capture(engine, *program, n, &fp);
-  parallel_tasks += engine.last_stats().parallel_tasks;
-  fp.oneshot_tasks = engine.last_stats().parallel_tasks;
 
   for (Timestamp t = 1; t <= 3; ++t) {
-    auto batch = workload.NextBatch(60, insert_ratio);
+    auto batch = workload.NextBatch(spec.batch_size, spec.insert_ratio);
     std::vector<EdgeDelta> stored_batch;
     for (const EdgeDelta& d : batch) {
       stored_batch.push_back(d);
-      if (symmetric) {
+      if (spec.symmetric) {
         stored_batch.push_back({{d.edge.dst, d.edge.src}, d.mult});
       }
     }
@@ -151,19 +188,41 @@ Fingerprint RunPipeline(const std::string& source, bool symmetric,
     Status st = engine.RunIncremental(t);
     EXPECT_TRUE(st.ok()) << st.ToString();
     Capture(engine, *program, n, &fp);
-    parallel_tasks += engine.last_stats().parallel_tasks;
   }
   fp.pool_misses = store->pool()->misses();
+  EXPECT_EQ(engine.last_stats().threads,
+            spec.num_threads > 1 ? spec.num_threads : 1)
+      << spec.tag;
+  return fp;
+}
+
+/// Runs one-shot + 3 incremental steps with `num_threads` workers, the
+/// pull on, and checks that the pool engaged. `scale` sets 2^scale
+/// vertices and `pool_pages` the store's buffer pool capacity.
+Fingerprint RunPipeline(const std::string& source, bool symmetric,
+                        double insert_ratio, int fixed_supersteps,
+                        int num_threads, const std::string& tag,
+                        int num_partitions = 1, int scale = 9,
+                        size_t pool_pages = 2048) {
+  PipelineSpec spec;
+  spec.source = source;
+  spec.tag = tag;
+  spec.symmetric = symmetric;
+  spec.insert_ratio = insert_ratio;
+  spec.fixed_supersteps = fixed_supersteps;
+  spec.num_threads = num_threads;
+  spec.num_partitions = num_partitions;
+  spec.scale = scale;
+  spec.pool_pages = pool_pages;
+  Fingerprint fp = RunPipelineOnce(spec);
   if (num_threads > 1) {
     // The pipelines below are parallel-safe; make sure the parallel
     // executor actually engaged (otherwise this test proves nothing).
-    EXPECT_GT(parallel_tasks, 0u) << tag;
+    EXPECT_GT(fp.parallel_tasks, 0u) << tag;
     EXPECT_GT(fp.pooled_applies, 0u) << tag;
-    EXPECT_EQ(engine.last_stats().threads, num_threads) << tag;
   } else {
-    EXPECT_EQ(parallel_tasks, 0u) << tag;
+    EXPECT_EQ(fp.parallel_tasks, 0u) << tag;
     EXPECT_EQ(fp.pooled_applies, 0u) << tag;
-    EXPECT_EQ(engine.last_stats().threads, 1) << tag;
   }
   return fp;
 }
@@ -213,11 +272,9 @@ TEST(ParallelDeterminismTest, TriangleCount) {
       TriangleCountProgram(), /*symmetric=*/true, 0.75, -1, "tc");
   // The one-shot's multi-hop job is cut by estimated work, not into its
   // 2^9 / 64 = 8 window blocks: the RMAT hubs of the first block run in
-  // tasks of their own, and the identity above covers that cut. The pool
-  // also runs the one-shot's Update as 8 shards of 64 vertices.
+  // tasks of their own, and the identity above covers that cut.
   const uint64_t window_blocks = 8;
-  const uint64_t update_shards = 8;
-  EXPECT_GT(fps.at(1).oneshot_tasks, window_blocks + update_shards);
+  EXPECT_GT(fps.at(1).oneshot_tasks, window_blocks);
 }
 
 TEST(ParallelDeterminismTest, PageRankOverSmallBufferPool) {
@@ -305,6 +362,118 @@ TEST(ParallelDeterminismTest, ProfilerDoesNotChangeResults) {
         << "profiling changed results at threads=" << threads;
   }
 }
+
+/// Max-id propagation (accumulator_variants_test's MAX monoid): support
+/// counting of the mirrored extremum.
+constexpr char kMaxComponents[] = R"(
+  Vertex (id, active, out_nbrs, comp: long, max_comp: Accm<long, MAX>)
+  Initialize (u) {
+    u.comp = u.id;
+    u.active = true;
+  }
+  Traverse (u) {
+    For v in u.out_nbrs {
+      v.max_comp.Accumulate(u.comp);
+    }
+  }
+  Update (u) {
+    If (u.max_comp > u.comp) {
+      u.comp = u.max_comp;
+      u.active = true;
+    }
+  }
+)";
+
+/// Two guarded start-invariant emissions, one under an If and one under
+/// its Else: a SUM and a MAX fed from the same start.
+constexpr char kGuardedStartInvariant[] = R"(
+  Vertex (id, active, out_nbrs, out_degree, rank: double,
+          share: Accm<double, SUM>, best: Accm<double, MAX>)
+  Initialize (u) {
+    u.rank = u.id % 7;
+    u.active = true;
+  }
+  Traverse (u) {
+    For v in u.out_nbrs {
+      If (u.id % 3 != 0) {
+        v.share.Accumulate(u.rank / u.out_degree);
+      } Else {
+        v.best.Accumulate(u.rank);
+      }
+    }
+  }
+  Update (u) {
+    Let val = Floor(0.5 * u.share + 0.25 * u.best);
+    If (val != u.rank) {
+      u.rank = val;
+      u.active = true;
+    }
+  }
+)";
+
+TEST(ParallelDeterminismTest, PullMatchesRecordPath) {
+  // The pull kernel folds each target's contributions in the order the
+  // record path applies them, so every bit and every work counter must
+  // match a run with the pull turned off, at every thread count.
+  // The monotone programs reach a recomputed superstep with a dense
+  // frontier only when a batch rewires much of the graph, hence their
+  // large, deletion-heavy batches. Symmetric pipelines mutate canonical
+  // edges, so that no batch inserts a present edge.
+  struct Case {
+    std::string tag;
+    std::string source;
+    bool symmetric;
+    int fixed_supersteps;
+    size_t batch_size;
+    double insert_ratio;
+  };
+  const std::vector<Case> cases = {
+      {"pr", PageRankProgram(), false, 10, 60, 0.75},
+      {"qpr", QuantizedPageRankProgram(), false, -1, 60, 0.75},
+      {"lp", LabelPropProgram(4), false, 10, 60, 0.75},
+      {"wcc", WccProgram(), true, -1, 1500, 0.25},
+      {"bfs", BfsProgram(0), false, -1, 1500, 0.25},
+      {"max", kMaxComponents, true, -1, 1500, 0.25},
+      {"guarded", kGuardedStartInvariant, false, 10, 60, 0.75},
+  };
+  for (const Case& c : cases) {
+    for (int threads : {1, 2, 8}) {
+      PipelineSpec spec;
+      spec.source = c.source;
+      spec.symmetric = c.symmetric;
+      spec.insert_ratio = c.insert_ratio;
+      spec.fixed_supersteps = c.fixed_supersteps;
+      spec.num_threads = threads;
+      spec.batch_size = c.batch_size;
+      spec.canonical = c.symmetric;
+      const std::string tag =
+          "pull_" + c.tag + "_t" + std::to_string(threads);
+      spec.tag = tag;
+      const Fingerprint pulled = RunPipelineOnce(spec);
+      spec.tag = "record_" + c.tag;
+      spec.pull = false;
+      const Fingerprint recorded = RunPipelineOnce(spec);
+      ASSERT_FALSE(pulled.bits.empty()) << tag;
+      EXPECT_TRUE(pulled == recorded) << tag << ": pull and record differ";
+      // The pull ran in the one-shot and in recomputed incremental
+      // supersteps, and never with the pull turned off.
+      EXPECT_GT(pulled.oneshot_pulls, 0u) << tag;
+      EXPECT_GT(pulled.recomputed_supersteps, 0u) << tag;
+      EXPECT_GT(pulled.incremental_pulls, 0u) << tag;
+      EXPECT_EQ(recorded.oneshot_pulls + recorded.incremental_pulls, 0u)
+          << tag;
+      if (threads > 1) {
+        EXPECT_GT(pulled.parallel_tasks, 0u) << tag;
+      }
+      if (c.tag == "bfs") {
+        // BFS's first superstep walks from the root alone: a sparse
+        // frontier stays on the record path within the pulled run.
+        EXPECT_LT(pulled.oneshot_pulls, pulled.oneshot_supersteps) << tag;
+      }
+    }
+  }
+}
+
 
 }  // namespace
 }  // namespace itg
