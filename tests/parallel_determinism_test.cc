@@ -102,10 +102,37 @@ void Capture(const Engine& engine, const CompiledProgram& program,
     fp->oneshot_pulls = engine.last_stats().pulled_supersteps;
   }
   fp->digests.push_back(engine.last_stats().state_digest);
+  // The timeline rows, the run's totals and the operator rows count the
+  // same walk and accumulate work. The level rows are left out: the
+  // anchored closing charges them directly.
+  const RunStats& stats = engine.last_stats();
+  const gsa::ExecutionProfile& profile = engine.last_profile();
+  uint64_t row_windows = 0;
+  uint64_t row_edges = 0;
+  uint64_t row_emissions = 0;
+  for (const gsa::SuperstepProfile& row : profile.supersteps()) {
+    row_windows += row.windows;
+    row_edges += row.edges;
+    row_emissions += row.emissions;
+  }
+  const gsa::OperatorCounters* walk = profile.Find(program.traverse.walk_op);
+  ASSERT_NE(walk, nullptr);
+  uint64_t accumulated = 0;
+  for (const Emission& e : program.traverse.emissions) {
+    const gsa::OperatorCounters* accum = profile.Find(e.accum_op);
+    ASSERT_NE(accum, nullptr);
+    accumulated += accum->in_pos + accum->in_neg;
+  }
+  EXPECT_EQ(row_windows, stats.windows_loaded);
+  EXPECT_EQ(walk->windows, stats.windows_loaded);
+  EXPECT_EQ(row_edges, stats.edges_scanned);
+  EXPECT_EQ(walk->edges, stats.edges_scanned);
+  EXPECT_EQ(row_emissions, stats.emissions_applied);
+  EXPECT_EQ(accumulated, stats.emissions_applied);
   // The flattened deterministic profile (per-operator counters and
   // superstep timeline, excluding measured wall/cpu time). A length
   // marker separates runs so rows cannot alias across run boundaries.
-  const std::vector<uint64_t> work = engine.last_profile().WorkFingerprint();
+  const std::vector<uint64_t> work = profile.WorkFingerprint();
   fp->profile_work.push_back(work.size());
   fp->profile_work.insert(fp->profile_work.end(), work.begin(), work.end());
 }
