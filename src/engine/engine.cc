@@ -12,6 +12,7 @@
 #include "common/digest.h"
 #include "common/live_status.h"
 #include "common/logging.h"
+#include "common/metrics_registry.h"
 #include "common/trace.h"
 #include "engine/msbfs.h"
 #include "engine/stmt_interp.h"
@@ -112,6 +113,14 @@ inline bool InsertContribution(lang::AccmOp op, int width, double* cell,
     return true;
   }
   return false;
+}
+
+/// interp.body_runs: the Initialize and Update bodies the engine
+/// interpreted, added once per phase. It gives run reports the per-run
+/// Update/Initialize call volume (paper §6.2 Group 3's CPU work driver).
+Counter& BodyRuns() {
+  static Counter* const counter = GlobalRegistry().counter("interp.body_runs");
+  return *counter;
 }
 
 }  // namespace
@@ -223,50 +232,31 @@ void Engine::RecordStartFilter(uint64_t in, uint64_t out) {
   start_filter_cell_->out_pos += out;
 }
 
-void Engine::FoldWalkCounters(
-    const std::vector<WalkEnumerator::LevelCounts>& base, uint64_t starts0) {
-  const uint64_t starts = enumerator_.starts_enumerated() - starts0;
+void Engine::FoldWalkCounters() {
+  const uint64_t starts = walk_ledger_.starts;
   if (start_stream_cell_ != nullptr) start_stream_cell_->out_pos += starts;
   if (walk_cell_ != nullptr) {
     walk_cell_->in_pos += starts;
     walk_cell_->out_pos += starts;  // depth-0 prefixes; levels add theirs
   }
-  const std::vector<WalkEnumerator::LevelCounts>& lc =
-      enumerator_.level_counts();
   uint64_t in_pos = starts;  // level 1 joins against the start tuples
   uint64_t in_neg = 0;
-  for (size_t i = 0; i < lc.size(); ++i) {
-    WalkEnumerator::LevelCounts d = lc[i];
-    if (i < base.size()) {
-      d.windows -= base[i].windows;
-      d.edges -= base[i].edges;
-      d.pruned -= base[i].pruned;
-      d.evals -= base[i].evals;
-      d.out_pos -= base[i].out_pos;
-      d.out_neg -= base[i].out_neg;
-      d.wall_nanos -= base[i].wall_nanos;
-    }
+  for (size_t i = 0; i < walk_ledger_.levels.size(); ++i) {
+    const WalkEnumerator::LevelCounts& d = walk_ledger_.levels[i];
+    gsa::OperatorCounters c;
+    c.out_pos = d.out_pos;
+    c.out_neg = d.out_neg;
+    c.pruned = d.pruned;
+    c.windows = d.windows;
+    c.edges = d.edges;
+    c.evals = d.evals;
+    c.wall_nanos = d.wall_nanos;
+    if (walk_cell_ != nullptr) walk_cell_->Merge(c);
     const int op = program_->traverse.levels[i].op;
     if (op >= 0) {
-      gsa::OperatorCounters& c = profile_.Op(op);
-      c.in_pos += in_pos;
-      c.in_neg += in_neg;
-      c.out_pos += d.out_pos;
-      c.out_neg += d.out_neg;
-      c.pruned += d.pruned;
-      c.windows += d.windows;
-      c.edges += d.edges;
-      c.evals += d.evals;
-      c.wall_nanos += d.wall_nanos;
-    }
-    if (walk_cell_ != nullptr) {
-      walk_cell_->out_pos += d.out_pos;
-      walk_cell_->out_neg += d.out_neg;
-      walk_cell_->pruned += d.pruned;
-      walk_cell_->windows += d.windows;
-      walk_cell_->edges += d.edges;
-      walk_cell_->evals += d.evals;
-      walk_cell_->wall_nanos += d.wall_nanos;
+      c.in_pos = in_pos;
+      c.in_neg = in_neg;
+      profile_.Op(op).Merge(c);
     }
     // The next level extends the prefixes this one emitted.
     in_pos = d.out_pos;
@@ -362,28 +352,11 @@ void Engine::PublishColumnMemory() {
       static_cast<int64_t>(cur_cols_.ByteSize() + prev_cols_.ByteSize()));
 }
 
-void Engine::RecordSuperstep(Superstep s, bool incremental,
-                             uint64_t active_vertices, uint64_t frontier,
-                             uint64_t emissions0, uint64_t windows0,
-                             uint64_t edges0, uint64_t wall0_nanos,
-                             uint64_t cpu0_nanos,
-                             const std::vector<uint64_t>& shuffle0) {
-  gsa::SuperstepProfile row;
-  row.superstep = s;
-  row.incremental = incremental;
-  row.active_vertices = active_vertices;
-  row.frontier = frontier;
-  row.emissions = stats_.emissions_applied - emissions0;
-  row.windows = enumerator_.windows_loaded() - windows0;
-  row.edges = enumerator_.edges_scanned() - edges0;
-  row.wall_nanos = TraceNowNanos() - wall0_nanos;
-  row.cpu_nanos = ThreadCpuNanos() - cpu0_nanos;
-  std::vector<uint64_t> shuffle = ShuffleSnapshot();
-  for (size_t m = 0; m < shuffle.size(); ++m) {
-    if (m < shuffle0.size()) shuffle[m] -= shuffle0[m];
+void Engine::ChargeSharedSeconds(double seconds) {
+  if (options_.num_partitions <= 1) return;
+  for (MachineStats& m : machine_stats_) {
+    m.seconds += seconds / options_.num_partitions;
   }
-  row.shuffle_bytes = std::move(shuffle);
-  profile_.supersteps().push_back(std::move(row));
 }
 
 void Engine::ResetMachineStats() {
@@ -454,6 +427,7 @@ void Engine::RunInitialize(ColumnSet* cols,
     ctx.vertex = v;
     RunStatements(*program_->init_body, &ctx);
   }
+  BodyRuns().Add(static_cast<uint64_t>(store_->num_vertices()));
   if (init_cell_ != nullptr) {
     init_cell_->in_pos += static_cast<uint64_t>(store_->num_vertices());
     init_cell_->wall_nanos += watch.ElapsedNanos();
@@ -614,11 +588,6 @@ void Engine::TaskBuffer::Reset(size_t num_emissions, size_t num_buckets) {
   }
   slots.assign(num_emissions, EmissionSlot{});
   map_counters.assign(num_emissions, gsa::OperatorCounters{});
-  windows = 0;
-  edges = 0;
-  pruned = 0;
-  starts = 0;
-  levels.clear();
 }
 
 Status Engine::RunWalkJobs(const std::vector<WalkJob>& jobs) {
@@ -794,37 +763,13 @@ void Engine::EvalTask(const WalkTask& task, WalkEnumerator* we,
   const WalkSink sink = [&](const VertexId* row, int depth, int mult) {
     EvalEmissions(job, row, depth, mult, &ctx, out);
   };
-  // enumerator_ counts in place; a worker's counts are taken as deltas
-  // and folded in at apply time.
-  const bool worker = we != &enumerator_;
-  const uint64_t windows0 = we->windows_loaded();
-  const uint64_t edges0 = we->edges_scanned();
-  const uint64_t pruned0 = we->walks_pruned();
-  const uint64_t starts0 = we->starts_enumerated();
-  std::vector<WalkEnumerator::LevelCounts> levels0;
-  if (worker) levels0 = we->level_counts();
   const std::vector<VertexId> starts(
       task.starts->begin() + static_cast<ptrdiff_t>(task.begin),
       task.starts->begin() + static_cast<ptrdiff_t>(task.end));
   out->status = we->Enumerate(starts, job.streams, job.current_t,
                               job.previous_t, job.level_allow, job.max_depth,
                               sink);
-  if (!worker) return;
-  out->windows = we->windows_loaded() - windows0;
-  out->edges = we->edges_scanned() - edges0;
-  out->pruned = we->walks_pruned() - pruned0;
-  out->starts = we->starts_enumerated() - starts0;
-  out->levels = we->level_counts();
-  for (size_t i = 0; i < out->levels.size() && i < levels0.size(); ++i) {
-    WalkEnumerator::LevelCounts& d = out->levels[i];
-    d.windows -= levels0[i].windows;
-    d.edges -= levels0[i].edges;
-    d.pruned -= levels0[i].pruned;
-    d.evals -= levels0[i].evals;
-    d.out_pos -= levels0[i].out_pos;
-    d.out_neg -= levels0[i].out_neg;
-    d.wall_nanos -= levels0[i].wall_nanos;
-  }
+  we->TakeCounts(&out->walk);
 }
 
 void Engine::EvalEmissions(const WalkJob& job, const VertexId* row,
@@ -910,8 +855,7 @@ void Engine::ApplyRecords(const RecordBucket& bucket, ApplyCounts* counts) {
 }
 
 void Engine::FoldTaskCounters(const TaskBuffer& buffer) {
-  enumerator_.AddCounts(buffer.windows, buffer.edges, buffer.pruned);
-  enumerator_.AddLevelCounts(buffer.levels, buffer.starts);
+  walk_ledger_.Add(buffer.walk);
   for (size_t ei = 0; ei < buffer.map_counters.size(); ++ei) {
     if (emission_map_cells_[ei] != nullptr) {
       emission_map_cells_[ei]->Merge(buffer.map_counters[ei]);
@@ -1009,7 +953,9 @@ void Engine::RunUpdatePhase(Timestamp t, const std::vector<VertexId>* domain,
     c->vertex = v;
     RunStatements(*program_->update_body, c);
   };
+  uint64_t bodies = 0;
   auto fold = [&](const UpdateCounts& counts) {
+    bodies += counts.bodies;
     if (update_cell_ == nullptr) return;
     update_cell_->in_pos += counts.bodies;
     update_cell_->evals += counts.evals;
@@ -1063,6 +1009,7 @@ void Engine::RunUpdatePhase(Timestamp t, const std::vector<VertexId>* domain,
     }
     fold(counts);
   }
+  BodyRuns().Add(bodies);
   if (update_cell_ != nullptr) {
     update_cell_->wall_nanos += update_watch.ElapsedNanos();
   }
@@ -1148,39 +1095,27 @@ Status Engine::WriteDeltaFiles(Timestamp t, Superstep s,
 }
 
 // ---------------------------------------------------------------------------
-// One-shot execution
+// The superstep loop
 // ---------------------------------------------------------------------------
 
-Status Engine::RunOneShot(Timestamp t) {
-  TraceSpan run_span("oneshot", "engine", t);
-  LiveRunScope live_run("oneshot", t, options_.query_label);
+Status Engine::RunSupersteps(Timestamp t, bool incremental,
+                             const std::function<void()>& init,
+                             const SuperstepBody& body) {
+  const char* phase = incremental ? "incremental" : "oneshot";
+  TraceSpan run_span(phase, "engine", t);
+  LiveRunScope live_run(phase, t, options_.query_label);
   Stopwatch watch;
   Metrics& metrics = *store_->metrics();
   const uint64_t read0 = metrics.read_bytes();
   const uint64_t write0 = metrics.write_bytes();
   stats_ = RunStats{};
   stats_.timestamp = t;
-  const uint64_t windows0 = enumerator_.windows_loaded();
-  const uint64_t scans0 = enumerator_.edges_scanned();
-  const uint64_t pruned0 = enumerator_.walks_pruned();
+  stats_.incremental = incremental;
   const uint64_t steals0 = pool_threads_ ? pool_threads_->steals() : 0;
   const uint64_t busy0 = pool_threads_ ? pool_threads_->total_busy_nanos() : 0;
   profile_.ResetCounters();
-  const std::vector<WalkEnumerator::LevelCounts> walk_base =
-      enumerator_.level_counts();
-  const uint64_t starts_base = enumerator_.starts_enumerated();
-
-  const VertexId n = store_->num_vertices();
   ResetMachineStats();
-  cur_cols_.Init(n, all_widths_);
-  InitGlobals(&cur_globals_);
-  {
-    TraceSpan init_span("initialize", "engine");
-    FillDegreeColumns(&cur_cols_, t);
-    RunInitialize(&cur_cols_, &cur_globals_, t);
-  }
-
-  ColumnSet snapshot;
+  init();
 
   PublishColumnMemory();
   Superstep s = 0;
@@ -1188,20 +1123,93 @@ Status Engine::RunOneShot(Timestamp t) {
          (options_.fixed_supersteps < 0 || s < options_.fixed_supersteps)) {
     TraceSpan superstep_span("superstep", "engine", s);
     std::vector<VertexId> active = ActiveList(cur_cols_);
-    if (active.empty()) break;
+    if (active.empty() && (!incremental || s >= prev_supersteps_)) break;
     GlobalLiveStatus().BeginSuperstep(s);
     MaybeInjectStall(options_, s);
-    const std::vector<double> ss_seconds0 = MachineSecondsSnapshot();
-    const uint64_t ss_emissions0 = stats_.emissions_applied;
-    const uint64_t ss_windows0 = enumerator_.windows_loaded();
-    const uint64_t ss_edges0 = enumerator_.edges_scanned();
-    const uint64_t ss_wall0 = TraceNowNanos();
-    const uint64_t ss_cpu0 = ThreadCpuNanos();
-    const std::vector<uint64_t> ss_shuffle0 = ShuffleSnapshot();
-    const uint64_t active_size = active.size();
-    // One-shot starts: the Filter over `vs` admits exactly the active set.
-    RecordStartFilter(static_cast<uint64_t>(n), active_size);
+    const std::vector<double> seconds0 = MachineSecondsSnapshot();
+    const std::vector<uint64_t> shuffle0 = ShuffleSnapshot();
+    const uint64_t emissions0 = stats_.emissions_applied;
+    const uint64_t wall0 = TraceNowNanos();
+    const uint64_t cpu0 = ThreadCpuNanos();
+    walk_ledger_.Reset();
     remote_seen_.clear();
+    gsa::SuperstepProfile row;
+    row.superstep = s;
+    row.incremental = incremental;
+    row.active_vertices = active.size();
+    row.frontier = active.size();
+    ITG_RETURN_IF_ERROR(body(s, std::move(active), &row.frontier));
+
+    const WalkEnumerator::LevelCounts walked = walk_ledger_.Total();
+    row.emissions = stats_.emissions_applied - emissions0;
+    row.windows = walked.windows;
+    row.edges = walked.edges;
+    row.wall_nanos = TraceNowNanos() - wall0;
+    row.cpu_nanos = ThreadCpuNanos() - cpu0;
+    row.shuffle_bytes = ShuffleSnapshot();
+    for (size_t m = 0; m < shuffle0.size(); ++m) {
+      row.shuffle_bytes[m] -= shuffle0[m];
+    }
+    profile_.supersteps().push_back(std::move(row));
+    stats_.windows_loaded += walked.windows;
+    stats_.edges_scanned += walked.edges;
+    stats_.delta_walks_pruned += walked.pruned;
+    FoldWalkCounters();
+    PublishSuperstepTelemetry(seconds0);
+    GlobalLiveStatus().EndSuperstep();
+    ++s;
+  }
+  PublishStateDigest(t);
+  if (incremental && options_.record_history) {
+    ITG_RETURN_IF_ERROR(store_->vertex_store()->MaintainAfterSnapshot(
+        t, store_->pool()));
+  }
+
+  last_run_t_ = t;
+  prev_supersteps_ = s;
+  stats_.supersteps = s;
+  stats_.seconds = watch.ElapsedSeconds();
+  stats_.read_bytes = metrics.read_bytes() - read0;
+  stats_.write_bytes = metrics.write_bytes() - write0;
+  FillThreadStats(steals0, busy0);
+  return Status::OK();
+}
+
+Engine::WalkJob Engine::NewJob(std::vector<VertexId> starts,
+                               LevelStream stream, Timestamp t,
+                               Timestamp previous_t) const {
+  const int k = program_->walk_length();
+  WalkJob job;
+  job.starts = std::move(starts);
+  job.streams.assign(static_cast<size_t>(k), stream);
+  job.level_allow.assign(static_cast<size_t>(k), nullptr);
+  job.max_depth = k;
+  job.eval_cols = &cur_cols_;
+  job.eval_globals = &cur_globals_;
+  job.eval_t = t;
+  job.current_t = t;
+  job.previous_t = previous_t;
+  return job;
+}
+
+// ---------------------------------------------------------------------------
+// One-shot execution
+// ---------------------------------------------------------------------------
+
+Status Engine::RunOneShot(Timestamp t) {
+  const VertexId n = store_->num_vertices();
+  ColumnSet snapshot;  // A_{t,s} before Update, reused across supersteps
+  auto init = [&] {
+    cur_cols_.Init(n, all_widths_);
+    InitGlobals(&cur_globals_);
+    TraceSpan init_span("initialize", "engine");
+    FillDegreeColumns(&cur_cols_, t);
+    RunInitialize(&cur_cols_, &cur_globals_, t);
+  };
+  auto superstep = [&](Superstep s, std::vector<VertexId> active,
+                       uint64_t*) -> Status {
+    // One-shot starts: the Filter over `vs` admits exactly the active set.
+    RecordStartFilter(static_cast<uint64_t>(n), active.size());
     ITG_RETURN_IF_ERROR(RecomputeAccumulators(t, std::move(active)));
 
     if (options_.record_history) {
@@ -1217,7 +1225,7 @@ Status Engine::RunOneShot(Timestamp t) {
 
     {
       TraceSpan copy_span("copy_columns", "engine", s);
-      snapshot = cur_cols_;  // A_{t,s} before Update
+      snapshot = cur_cols_;
     }
     RunUpdatePhase(t, /*domain=*/nullptr, /*restore=*/nullptr);
 
@@ -1227,31 +1235,9 @@ Status Engine::RunOneShot(Timestamp t) {
       ITG_RETURN_IF_ERROR(WriteDeltaFiles(t, s + 1, AttrFileAttrs(), changed,
                                           cur_cols_, &snapshot, nullptr));
     }
-    RecordSuperstep(s, /*incremental=*/false, active_size, active_size,
-                    ss_emissions0, ss_windows0, ss_edges0, ss_wall0, ss_cpu0,
-                    ss_shuffle0);
-    if (options_.digest_per_superstep) {
-      profile_.supersteps().back().state_digest = ComputeStateDigest();
-    }
-    PublishSuperstepTelemetry(ss_seconds0);
-    GlobalLiveStatus().EndSuperstep();
-    ++s;
-  }
-  FoldWalkCounters(walk_base, starts_base);
-  PublishStateDigest(t);
-
-  last_run_t_ = t;
-  prev_supersteps_ = s;
-  stats_.supersteps = s;
-  stats_.incremental = false;
-  stats_.windows_loaded = enumerator_.windows_loaded() - windows0;
-  stats_.edges_scanned = enumerator_.edges_scanned() - scans0;
-  stats_.delta_walks_pruned = enumerator_.walks_pruned() - pruned0;
-  stats_.seconds = watch.ElapsedSeconds();
-  stats_.read_bytes = metrics.read_bytes() - read0;
-  stats_.write_bytes = metrics.write_bytes() - write0;
-  FillThreadStats(steals0, busy0);
-  return Status::OK();
+    return Status::OK();
+  };
+  return RunSupersteps(t, /*incremental=*/false, init, superstep);
 }
 
 Status Engine::RecomputeAccumulators(Timestamp t,
@@ -1259,18 +1245,8 @@ Status Engine::RecomputeAccumulators(Timestamp t,
   ResetAccumulators(&cur_cols_);
   ClearRecomputeState();
   if (PullIsDense(t, starts)) return PullAccumulators(t, starts);
-  const size_t k = static_cast<size_t>(program_->walk_length());
-  std::vector<WalkJob> jobs(1);
-  WalkJob& job = jobs[0];
-  job.starts = std::move(starts);
-  job.streams.assign(k, LevelStream::kCurrent);
-  job.level_allow.assign(k, nullptr);
-  job.max_depth = program_->walk_length();
-  job.eval_cols = &cur_cols_;
-  job.eval_globals = &cur_globals_;
-  job.eval_t = t;
-  job.current_t = t;
-  job.previous_t = t;
+  std::vector<WalkJob> jobs;
+  jobs.push_back(NewJob(std::move(starts), LevelStream::kCurrent, t, t));
   return RunWalkJobs(jobs);
 }
 
@@ -1449,7 +1425,9 @@ Status Engine::PullAccumulators(Timestamp t,
   // block of starts, one edge and one Map input per (start → neighbour),
   // one Accumulate per passing one. Summed in task order.
   ApplyCounts counts = NewApplyCounts();
-  WalkEnumerator::LevelCounts level;
+  WalkEnumerator::Counts walk;
+  walk.starts = starts.size();
+  WalkEnumerator::LevelCounts& level = walk.levels.emplace_back();
   level.windows = eval_tasks;
   for (const EvalCounts& c : eval_counts) {
     level.edges += c.edges;
@@ -1466,8 +1444,7 @@ Status Engine::PullAccumulators(Timestamp t,
   }
   for (uint64_t nanos : pull_nanos) level.wall_nanos += nanos;
   level.out_pos = level.edges;
-  enumerator_.AddCounts(level.windows, level.edges);
-  enumerator_.AddLevelCounts({level}, starts.size());
+  walk_ledger_.Add(walk);
   FoldApplyCounts(counts);
   for (const Status& st : pull_status) ITG_RETURN_IF_ERROR(st);
   return Status::OK();
@@ -1488,89 +1465,47 @@ Status Engine::RunIncremental(Timestamp t) {
           "incremental execution with global monoid accumulators");
     }
   }
-  TraceSpan run_span("incremental", "engine", t);
-  LiveRunScope live_run("incremental", t, options_.query_label);
   if (lineage_ != nullptr) {
     ITG_RETURN_IF_ERROR(lineage_->BeginTimestamp(store_, t));
   }
-  Stopwatch watch;
-  Metrics& metrics = *store_->metrics();
-  const uint64_t read0 = metrics.read_bytes();
-  const uint64_t write0 = metrics.write_bytes();
-  uint64_t emissions0 = 0;
-  stats_ = RunStats{};
-  stats_.timestamp = t;
-  stats_.incremental = true;
-  const uint64_t windows0 = enumerator_.windows_loaded();
-  const uint64_t scans0 = enumerator_.edges_scanned();
-  const uint64_t pruned0 = enumerator_.walks_pruned();
-  const uint64_t steals0 = pool_threads_ ? pool_threads_->steals() : 0;
-  const uint64_t busy0 = pool_threads_ ? pool_threads_->total_busy_nanos() : 0;
-  profile_.ResetCounters();
-  const std::vector<WalkEnumerator::LevelCounts> walk_base =
-      enumerator_.level_counts();
-  const uint64_t starts_base = enumerator_.starts_enumerated();
-
   const VertexId n = store_->num_vertices();
   const Timestamp prev_t = t - 1;
   BufferPool* pool = store_->pool();
   VertexStore* vs = store_->vertex_store();
-  ResetMachineStats();
-  // Shared store reads (delta-chain overlays) are split evenly over the
-  // simulated machines in the distributed time model.
-  auto charge_shared_seconds = [&](double seconds) {
-    if (options_.num_partitions <= 1) return;
-    for (MachineStats& m : machine_stats_) {
-      m.seconds += seconds / options_.num_partitions;
-    }
-  };
 
   // Materialize A_{t-1,0} and A_{t,0}: Initialize is deterministic given
   // the snapshot (it may read degrees), so both sides run it directly.
-  prev_cols_.Init(n, all_widths_);
-  cur_cols_.Init(n, all_widths_);
-  InitGlobals(&prev_globals_);
-  // Global accumulators carry the previous run's totals forward; deltas
-  // are applied onto them. Other globals restart at their defaults.
-  std::vector<std::vector<double>> carried = cur_globals_;
-  InitGlobals(&cur_globals_);
-  for (size_t g = 0; g < program_->globals.size(); ++g) {
-    if (program_->globals[g].type.is_accumulator && g < carried.size()) {
-      cur_globals_[g] = carried[g];
+  auto init = [&] {
+    prev_cols_.Init(n, all_widths_);
+    cur_cols_.Init(n, all_widths_);
+    InitGlobals(&prev_globals_);
+    // Global accumulators carry the previous run's totals forward; deltas
+    // are applied onto them. Other globals restart at their defaults.
+    std::vector<std::vector<double>> carried = cur_globals_;
+    InitGlobals(&cur_globals_);
+    for (size_t g = 0; g < program_->globals.size(); ++g) {
+      if (program_->globals[g].type.is_accumulator && g < carried.size()) {
+        cur_globals_[g] = carried[g];
+      }
     }
-  }
-  {
     TraceSpan init_span("initialize", "engine");
     FillDegreeColumns(&prev_cols_, prev_t);
     FillDegreeColumns(&cur_cols_, t);
     RunInitialize(&prev_cols_, &prev_globals_, prev_t);
     RunInitialize(&cur_cols_, &cur_globals_, t);
-  }
+  };
 
-  const Superstep s_prev_total = prev_supersteps_;
+  // Δvs starts are the vertices whose traverse-visible state changed.
+  std::vector<int> traverse_attrs = program_->traverse_read_attrs;
+  traverse_attrs.push_back(program_->active_attr);
+  // A_{t,s} before ΔUpdate and the vertices the overlay changed, reused
+  // across supersteps.
   ColumnSet cur_snapshot;
-  std::vector<VertexId> scratch_changed;
-
-  PublishColumnMemory();
-  Superstep s = 0;
-  while (s < options_.max_supersteps &&
-         (options_.fixed_supersteps < 0 || s < options_.fixed_supersteps)) {
-    TraceSpan superstep_span("superstep", "engine", s);
-    std::vector<VertexId> cur_active = ActiveList(cur_cols_);
-    if (cur_active.empty() && s >= s_prev_total) break;
-    GlobalLiveStatus().BeginSuperstep(s);
-    MaybeInjectStall(options_, s);
-    const std::vector<double> ss_seconds0 = MachineSecondsSnapshot();
-    const uint64_t ss_emissions0 = stats_.emissions_applied;
-    const uint64_t ss_windows0 = enumerator_.windows_loaded();
-    const uint64_t ss_edges0 = enumerator_.edges_scanned();
-    const uint64_t ss_wall0 = TraceNowNanos();
-    const uint64_t ss_cpu0 = ThreadCpuNanos();
-    const std::vector<uint64_t> ss_shuffle0 = ShuffleSnapshot();
-
+  std::vector<VertexId> overlay_changed;
+  auto superstep = [&](Superstep s, std::vector<VertexId> cur_active,
+                       uint64_t* frontier) -> Status {
     // --- ΔTraverse --------------------------------------------------------
     // Reconstruct A^accm_{t-1,s} from the store (identity + overlay).
-    remote_seen_.clear();
     Stopwatch overlay_watch;
     {
       TraceSpan overlay_span("overlay", "engine", s);
@@ -1580,17 +1515,14 @@ Status Engine::RunIncremental(Timestamp t) {
             pool, prev_t, s, attr, prev_cols_.Column(attr).data()));
       }
     }
-    charge_shared_seconds(overlay_watch.ElapsedSeconds());
+    ChargeSharedSeconds(overlay_watch.ElapsedSeconds());
 
-    // Δvs starts: vertices whose traverse-visible state changed.
-    std::vector<int> traverse_attrs = program_->traverse_read_attrs;
-    traverse_attrs.push_back(program_->active_attr);
     std::vector<VertexId> changed_starts;
     CollectChanged(cur_cols_, prev_cols_, traverse_attrs, &changed_starts);
+    *frontier = changed_starts.size();
 
     // Either plan leaves A_{t,s} in the current accumulators.
     const bool recompute = RecomputeIsCheaper(t, changed_starts, cur_active);
-    emissions0 = stats_.emissions_applied;
     if (recompute) {
       TraceSpan recompute_span("recompute", "engine", s);
       ++stats_.recomputed_supersteps;
@@ -1610,7 +1542,8 @@ Status Engine::RunIncremental(Timestamp t) {
           RunDeltaTraverse(t, s, changed_starts, cur_active));
       ITG_RETURN_IF_ERROR(RunMonoidRecompute(t, s));
     }
-    stats_.delta_walk_emissions += stats_.emissions_applied - emissions0;
+    // Every emission of an incremental run is a Δ-walk's or a recompute's.
+    stats_.delta_walk_emissions = stats_.emissions_applied;
 
     // Cross-snapshot changes: the accumulator deltas to persist, and the
     // ΔUpdate domain (any attribute or accumulator difference vs the
@@ -1630,7 +1563,7 @@ Status Engine::RunIncremental(Timestamp t) {
                    << " plan=" << (recompute ? "recompute" : "delta")
                    << " changed_starts=" << changed_starts.size()
                    << " cur_active=" << cur_active.size()
-                   << " scans=" << enumerator_.edges_scanned() - ss_edges0
+                   << " scans=" << walk_ledger_.Total().edges
                    << " update_domain=" << domain.size();
 
     {
@@ -1640,7 +1573,7 @@ Status Engine::RunIncremental(Timestamp t) {
     }
 
     // Advance prev to A_{t-1,s+1} by overlaying the stored chains.
-    scratch_changed.clear();
+    overlay_changed.clear();
     overlay_watch.Restart();
     {
       TraceSpan overlay_span("overlay", "engine", s);
@@ -1648,10 +1581,10 @@ Status Engine::RunIncremental(Timestamp t) {
         ITG_RETURN_IF_ERROR(
             vs->OverlaySuperstep(pool, prev_t, s + 1, attr,
                                  prev_cols_.Column(attr).data(),
-                                 &scratch_changed));
+                                 &overlay_changed));
       }
     }
-    charge_shared_seconds(overlay_watch.ElapsedSeconds());
+    ChargeSharedSeconds(overlay_watch.ElapsedSeconds());
 
     // Advance cur: identical to prev everywhere outside the domain.
     // Virtual attributes (degrees) stay snapshot-bound and are excluded.
@@ -1684,36 +1617,11 @@ Status Engine::RunIncremental(Timestamp t) {
       // domain and the vertices the overlay changed.
       ITG_RETURN_IF_ERROR(WriteDeltaFiles(t, s + 1, AttrFileAttrs(), domain,
                                           cur_cols_, &prev_cols_,
-                                          &cur_snapshot, &scratch_changed));
+                                          &cur_snapshot, &overlay_changed));
     }
-    RecordSuperstep(s, /*incremental=*/true, cur_active.size(),
-                    changed_starts.size(), ss_emissions0, ss_windows0,
-                    ss_edges0, ss_wall0, ss_cpu0, ss_shuffle0);
-    if (options_.digest_per_superstep) {
-      profile_.supersteps().back().state_digest = ComputeStateDigest();
-    }
-    PublishSuperstepTelemetry(ss_seconds0);
-    GlobalLiveStatus().EndSuperstep();
-    ++s;
-  }
-  FoldWalkCounters(walk_base, starts_base);
-  PublishStateDigest(t);
-
-  if (options_.record_history) {
-    ITG_RETURN_IF_ERROR(vs->MaintainAfterSnapshot(t, pool));
-  }
-
-  last_run_t_ = t;
-  prev_supersteps_ = s;
-  stats_.supersteps = s;
-  stats_.windows_loaded = enumerator_.windows_loaded() - windows0;
-  stats_.edges_scanned = enumerator_.edges_scanned() - scans0;
-  stats_.delta_walks_pruned = enumerator_.walks_pruned() - pruned0;
-  stats_.seconds = watch.ElapsedSeconds();
-  stats_.read_bytes = metrics.read_bytes() - read0;
-  stats_.write_bytes = metrics.write_bytes() - write0;
-  FillThreadStats(steals0, busy0);
-  return Status::OK();
+    return Status::OK();
+  };
+  return RunSupersteps(t, /*incremental=*/true, init, superstep);
 }
 
 // ---------------------------------------------------------------------------
@@ -1765,10 +1673,6 @@ Status Engine::RunDeltaTraverse(Timestamp t, Superstep s,
   // which Traverse never reads (accumulators are write-only outside
   // Update), and the apply takes all of A before any of B.
   {
-    std::vector<LevelStream> streams(static_cast<size_t>(k),
-                                     LevelStream::kPrevious);
-    std::vector<const std::vector<uint8_t>*> no_allow(
-        static_cast<size_t>(k), nullptr);
     std::vector<VertexId> old_active_starts;
     std::vector<VertexId> new_active_starts;
     const double* prev_active =
@@ -1783,28 +1687,15 @@ Status Engine::RunDeltaTraverse(Timestamp t, Superstep s,
     // new-side activation); the survivors become retract/assert starts.
     RecordStartFilter(2 * changed_starts.size(),
                       old_active_starts.size() + new_active_starts.size());
-    std::vector<WalkJob> jobs(2);
-    WalkJob& retract = jobs[0];
-    retract.starts = std::move(old_active_starts);
-    retract.streams = streams;
-    retract.level_allow = no_allow;
-    retract.max_depth = k;
+    std::vector<WalkJob> jobs;
+    WalkJob& retract = jobs.emplace_back(NewJob(
+        std::move(old_active_starts), LevelStream::kPrevious, t, prev_t));
     retract.mult_sign = -1;
     retract.eval_cols = &prev_cols_;
     retract.eval_globals = &prev_globals_;
     retract.eval_t = prev_t;
-    retract.current_t = t;
-    retract.previous_t = prev_t;
-    WalkJob& assert_new = jobs[1];
-    assert_new.starts = std::move(new_active_starts);
-    assert_new.streams = std::move(streams);
-    assert_new.level_allow = std::move(no_allow);
-    assert_new.max_depth = k;
-    assert_new.eval_cols = &cur_cols_;
-    assert_new.eval_globals = &cur_globals_;
-    assert_new.eval_t = t;
-    assert_new.current_t = t;
-    assert_new.previous_t = prev_t;
+    jobs.push_back(NewJob(std::move(new_active_starts),
+                          LevelStream::kPrevious, t, prev_t));
     ITG_RETURN_IF_ERROR(RunWalkJobs(jobs));
   }
 
@@ -1878,22 +1769,15 @@ Status Engine::RunDeltaTraverse(Timestamp t, Superstep s,
   // min_emit_depth = p.
   auto make_plan_job = [&](const SubqueryPlan& plan,
                            std::vector<VertexId> starts) -> WalkJob {
-    WalkJob job;
-    job.starts = std::move(starts);
+    WalkJob job =
+        NewJob(std::move(starts), LevelStream::kCurrent, t, prev_t);
     job.streams = plan.streams;
-    job.level_allow.assign(static_cast<size_t>(k), nullptr);
     for (int j = 1; j < plan.p && j < static_cast<int>(plan.allow.size());
          ++j) {
       job.level_allow[static_cast<size_t>(j - 1)] = &plan.allow[j];
     }
-    job.max_depth = k;
     job.min_emit_depth = plan.p;
     job.delta_level = plan.p;
-    job.eval_cols = &cur_cols_;
-    job.eval_globals = &cur_globals_;
-    job.eval_t = t;
-    job.current_t = t;
-    job.previous_t = prev_t;
     return job;
   };
 
@@ -1903,11 +1787,7 @@ Status Engine::RunDeltaTraverse(Timestamp t, Superstep s,
     if (plan.anchored) {
       Stopwatch watch;
       ITG_RETURN_IF_ERROR(RunAnchoredClosing(t, plan.p));
-      if (options_.num_partitions > 1) {
-        for (MachineStats& m : machine_stats_) {
-          m.seconds += watch.ElapsedSeconds() / options_.num_partitions;
-        }
-      }
+      ChargeSharedSeconds(watch.ElapsedSeconds());
     }
   }
   std::vector<WalkJob> jobs;
@@ -2100,7 +1980,6 @@ Status Engine::RunAnchoredClosing(Timestamp t, int p) {
 }
 
 Status Engine::RunMonoidRecompute(Timestamp t, Superstep s) {
-  const int k = program_->walk_length();
   const VertexId n = store_->num_vertices();
   bool any = false;
   for (int a = 0; a < num_program_attrs(); ++a) {
@@ -2188,29 +2067,14 @@ Status Engine::RunMonoidRecompute(Timestamp t, Superstep s) {
   }
   RecordStartFilter(static_cast<uint64_t>(n), starts.size());
 
-  {
-    std::vector<WalkJob> jobs(1);
-    WalkJob& job = jobs[0];
-    job.starts = std::move(starts);
-    job.streams.assign(static_cast<size_t>(k), LevelStream::kCurrent);
-    job.level_allow.assign(static_cast<size_t>(k), nullptr);
-    job.max_depth = k;
-    job.monoid_only = true;
-    job.target_marks = &target_marks;
-    job.eval_cols = &cur_cols_;
-    job.eval_globals = &cur_globals_;
-    job.eval_t = t;
-    job.current_t = t;
-    job.previous_t = t;
-    ITG_RETURN_IF_ERROR(RunWalkJobs(jobs));
-  }
+  std::vector<WalkJob> jobs;
+  WalkJob& job = jobs.emplace_back(
+      NewJob(std::move(starts), LevelStream::kCurrent, t, t));
+  job.monoid_only = true;
+  job.target_marks = &target_marks;
+  ITG_RETURN_IF_ERROR(RunWalkJobs(jobs));
   // Re-aggregation resolved the marks.
-  for (int a = 0; a < num_program_attrs(); ++a) {
-    recompute_sets_[a].clear();
-    if (!monoid_marks_[a].empty()) {
-      std::fill(monoid_marks_[a].begin(), monoid_marks_[a].end(), 0);
-    }
-  }
+  ClearRecomputeState();
   return Status::OK();
 }
 

@@ -2,6 +2,7 @@
 #define ITG_ENGINE_ENGINE_H_
 
 #include <array>
+#include <functional>
 #include <memory>
 #include <string>
 #include <unordered_set>
@@ -58,10 +59,6 @@ struct EngineOptions {
   /// superstep of every run. The sleep is observation-neutral (no work
   /// counter moves), so fingerprints are unaffected. 0 = off.
   uint64_t debug_stall_first_superstep_ms = 0;
-  /// Also digest the attribute state after every superstep into the
-  /// superstep timeline (the end-of-run digest is always computed).
-  /// Observation-only — no work counter or accumulator moves.
-  bool digest_per_superstep = false;
   /// Opt-in Δ-record provenance: track a bounded set of contributing
   /// input-mutation ids per vertex (see engine/lineage.h).
   bool lineage = false;
@@ -326,13 +323,8 @@ class Engine {
     std::vector<EmissionSlot> slots;    // one per emission
     // EXPLAIN ANALYZE Map counters, one per emission.
     std::vector<gsa::OperatorCounters> map_counters;
-    // Walk counters a worker enumerator gathered for this task (zero
-    // when the task ran on enumerator_, which counts in place).
-    uint64_t windows = 0;
-    uint64_t edges = 0;
-    uint64_t pruned = 0;
-    uint64_t starts = 0;
-    std::vector<WalkEnumerator::LevelCounts> levels;
+    // The walk counters the task's enumerator handed over (TakeCounts).
+    WalkEnumerator::Counts walk;
 
     void Reset(size_t num_emissions, size_t num_buckets);
   };
@@ -362,7 +354,8 @@ class Engine {
   /// The one apply loop: applies a bucket's records in order and feeds
   /// lineage, charging `counts`.
   void ApplyRecords(const RecordBucket& bucket, ApplyCounts* counts);
-  /// Folds a task's walk and Map counters into the run's.
+  /// Folds a task's walk counters into the superstep's ledger and its Map
+  /// counters into the profile.
   void FoldTaskCounters(const TaskBuffer& buffer);
   /// Applies all of a task's buckets on the caller, folds its counters,
   /// and returns the task's status.
@@ -380,19 +373,10 @@ class Engine {
   /// Start-filter (σ_active) attribution: `in` candidates inspected, `out`
   /// kept as walk starts.
   void RecordStartFilter(uint64_t in, uint64_t out);
-  /// Folds the enumerator's per-level counter deltas (against the given
-  /// run-start baselines) into the per-operator profile: level i →
-  /// LevelSpec::op, plus the Walk roll-up and the start-stream output.
-  void FoldWalkCounters(const std::vector<WalkEnumerator::LevelCounts>& base,
-                        uint64_t starts0);
-  /// Appends one superstep-timeline row; work fields are deltas against
-  /// the given superstep-start baselines.
-  void RecordSuperstep(Superstep s, bool incremental,
-                       uint64_t active_vertices, uint64_t frontier,
-                       uint64_t emissions0, uint64_t windows0,
-                       uint64_t edges0, uint64_t wall0_nanos,
-                       uint64_t cpu0_nanos,
-                       const std::vector<uint64_t>& shuffle0);
+  /// Folds the superstep's walk ledger into the per-operator profile:
+  /// level i → LevelSpec::op, plus the Walk roll-up and the start-stream
+  /// output.
+  void FoldWalkCounters();
   /// Per-partition network_bytes snapshot (empty when unpartitioned).
   std::vector<uint64_t> ShuffleSnapshot() const;
 
@@ -408,6 +392,9 @@ class Engine {
   /// Refreshes the mem.accumulator_columns byte gauge from the resident
   /// column sets.
   void PublishColumnMemory();
+  /// Splits shared store time (delta-chain overlays, the anchored
+  /// closing) evenly over the simulated machines of a partitioned run.
+  void ChargeSharedSeconds(double seconds);
 
   /// Sets v's recompute mark for `attr`; true when it was not set (the
   /// caller then queues v). The marks are allocated on first use, or
@@ -422,6 +409,25 @@ class Engine {
   /// End-of-run digest: fills RunStats::state_digest and mirrors it into
   /// the metrics registry and GlobalLiveStatus. Observation-only.
   void PublishStateDigest(Timestamp t);
+
+  /// A superstep body: runs superstep `s` from the `active` vertices and
+  /// may set the timeline row's `frontier` (preset to the active count).
+  using SuperstepBody = std::function<Status(
+      Superstep s, std::vector<VertexId> active, uint64_t* frontier)>;
+  /// The one superstep loop (§5.2) of one-shot and incremental runs: owns
+  /// the run and superstep spans, the live status, the stall hook, the
+  /// timeline row, telemetry and the end-of-run RunStats. `init` fills
+  /// the superstep-0 state; `body` runs each superstep. A one-shot stops
+  /// at the first empty active set, an incremental run not before the
+  /// previous run's superstep count. A failing body ends the run at once.
+  Status RunSupersteps(Timestamp t, bool incremental,
+                       const std::function<void()>& init,
+                       const SuperstepBody& body);
+
+  /// A job walking `starts` over all levels of `stream` with emissions
+  /// evaluated on the current state at t.
+  WalkJob NewJob(std::vector<VertexId> starts, LevelStream stream,
+                 Timestamp t, Timestamp previous_t) const;
 
   /// Resets the current accumulators and walks `starts` over snapshot t
   /// with emissions evaluated on the current state: a one-shot superstep,
@@ -508,9 +514,12 @@ class Engine {
   const CompiledProgram* program_;
   EngineOptions options_;
   // The calling thread's enumerator (inline tasks, and worker 0 of pool
-  // batches). It also holds the run's walk counters: the other workers'
-  // counts are folded into it after the apply.
+  // batches).
   WalkEnumerator enumerator_;
+  // The current superstep's walk counters: every task's and every pull's,
+  // folded on the caller in task order. The timeline row, RunStats and
+  // the Walk and level operator rows read it.
+  WalkEnumerator::Counts walk_ledger_;
 
   // ---- intra-machine parallelism ---------------------------------------
   // Update bodies with no global assignment write disjoint per-vertex

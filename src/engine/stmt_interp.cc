@@ -3,7 +3,6 @@
 #include <array>
 
 #include "common/logging.h"
-#include "common/metrics_registry.h"
 #include "engine/eval.h"
 
 namespace itg {
@@ -74,11 +73,6 @@ void RunBlock(const std::vector<StmtPtr>& body, StmtContext* ctx,
 }  // namespace
 
 void RunStatements(const std::vector<StmtPtr>& body, StmtContext* ctx) {
-  // One relaxed add per interpreted vertex body — cheap next to the
-  // statement evaluation itself, and it gives run reports the per-run
-  // Update/Initialize call volume (paper §6.2 Group 3's CPU work driver).
-  static Counter* const calls = GlobalRegistry().counter("interp.body_runs");
-  calls->Increment();
   EvalContext eval_ctx;
   eval_ctx.columns = ctx->columns;
   eval_ctx.globals = ctx->globals;

@@ -101,7 +101,6 @@ Status WalkEnumerator::LoadWindow(const std::vector<VertexId>& vertices,
                                   AdjacencyWindow* window) {
   // W-Seek: load the frontier chunk's adjacency into the window.
   TraceSpan span("seek", "walk", static_cast<int64_t>(vertices.size()));
-  ++windows_loaded_;
   window->ranges.clear();
   window->dsts.clear();
   window->mults.clear();
@@ -158,7 +157,7 @@ Status WalkEnumerator::Enumerate(
     std::vector<VertexId> prefixes(starts.begin() + begin,
                                    starts.begin() + end);
     std::vector<int8_t> mults(prefixes.size(), 1);
-    starts_enumerated_ += prefixes.size();
+    counts_.starts += prefixes.size();
     for (size_t i = 0; i < prefixes.size(); ++i) {
       sink(&prefixes[i], 0, 1);
     }
@@ -180,7 +179,7 @@ Status WalkEnumerator::Extend(
   const LevelSpec& spec = program_->traverse.levels[level - 1];
   const LevelStream stream = streams[level - 1];
   const std::vector<uint8_t>* allow = level_allow[level - 1];
-  LevelCounts& lc = level_counts_[static_cast<size_t>(level - 1)];
+  LevelCounts& lc = counts_.levels[static_cast<size_t>(level - 1)];
   const size_t num_prefixes = prefixes.size() / prefix_len;
   if (num_prefixes == 0) return Status::OK();
   // Exclusive time of the level: the frontier index and the prefix
@@ -261,7 +260,6 @@ Status WalkEnumerator::Extend(
         const VertexId* lo = dsts + begin;
         const VertexId* hi = dsts + end;
         const VertexId* it = std::lower_bound(lo, hi, want);
-        ++edges_scanned_;
         ++lc.edges;
         // Duplicated dsts cannot occur in base lists; delta segments may
         // repeat a dst across insert/delete of the same batch.
@@ -269,7 +267,6 @@ Status WalkEnumerator::Extend(
           uint32_t j = static_cast<uint32_t>(it - dsts);
           row[prefix_len] = want;
           if (allow != nullptr && !(*allow)[static_cast<size_t>(want)]) {
-            ++walks_pruned_;
             ++lc.pruned;
             break;
           }
@@ -303,10 +300,8 @@ Status WalkEnumerator::Extend(
       for (; j < end; ++j) {
         VertexId v = dsts[j];
         if (spec.lt_pos >= 0 && v >= row[spec.lt_pos]) break;
-        ++edges_scanned_;
         ++lc.edges;
         if (allow != nullptr && !(*allow)[static_cast<size_t>(v)]) {
-          ++walks_pruned_;
           ++lc.pruned;
           continue;
         }

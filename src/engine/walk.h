@@ -49,7 +49,9 @@ class WalkEnumerator {
   /// Per-traversal-level work counters (EXPLAIN ANALYZE): entry i
   /// belongs to level i+1, i.e. the plans' `es_{i+1}` stream operator
   /// (LevelSpec::op). `out_*` counts walk tuples fired at that depth by
-  /// multiplicity sign; `evals` counts expression nodes the general-
+  /// multiplicity sign; `pruned` counts the extensions `level_allow`
+  /// rejected, the walks neighbor pruning (§5.4's MS-BFS visited sets)
+  /// saved enumerating; `evals` counts expression nodes the general-
   /// conjunct residue evaluated; `wall_nanos` is the level's own time
   /// (frontier index, prefix grouping, W-Seek and W-Join), exclusive of
   /// deeper levels. All fields except wall are deterministic.
@@ -73,13 +75,39 @@ class WalkEnumerator {
     }
   };
 
+  /// The walk work of a run of Enumerate calls: the tuples enumerated at
+  /// depth 0 (the start-stream output) and one LevelCounts per level.
+  struct Counts {
+    uint64_t starts = 0;
+    std::vector<LevelCounts> levels;
+
+    void Add(const Counts& o) {
+      starts += o.starts;
+      if (levels.size() < o.levels.size()) levels.resize(o.levels.size());
+      for (size_t i = 0; i < o.levels.size(); ++i) {
+        levels[i].Merge(o.levels[i]);
+      }
+    }
+    /// Zeroes every count and keeps the levels' storage.
+    void Reset() {
+      starts = 0;
+      for (LevelCounts& level : levels) level = LevelCounts{};
+    }
+    /// The levels' counts summed.
+    LevelCounts Total() const {
+      LevelCounts total;
+      for (const LevelCounts& level : levels) total.Merge(level);
+      return total;
+    }
+  };
+
   WalkEnumerator(const CompiledProgram* program, DynamicGraphStore* store,
                  BufferPool* pool, const Options& options)
       : program_(program),
         store_(store),
         pool_(pool),
-        options_(options),
-        level_counts_(static_cast<size_t>(program->walk_length())) {
+        options_(options) {
+    counts_.levels.resize(static_cast<size_t>(program->walk_length()));
     if (store_ != nullptr && store_->metrics() != nullptr) {
       // Add-deltas: every live window (one per traversal level per
       // enumerator, worker-thread enumerators included) aggregates into
@@ -117,36 +145,15 @@ class WalkEnumerator {
                    const std::vector<const std::vector<uint8_t>*>& level_allow,
                    int max_depth, const WalkSink& sink);
 
-  /// Walk-window statistics (for benches/tests).
-  uint64_t windows_loaded() const { return windows_loaded_; }
-  uint64_t edges_scanned() const { return edges_scanned_; }
-  /// Candidate walk extensions rejected by `level_allow` — the walks
-  /// neighbor pruning (§5.4's MS-BFS visited sets) saved enumerating.
-  uint64_t walks_pruned() const { return walks_pruned_; }
+  /// Walk-window statistics of the counts not yet taken (tests).
+  uint64_t windows_loaded() const { return counts_.Total().windows; }
+  uint64_t edges_scanned() const { return counts_.Total().edges; }
 
-  /// Folds the counters of a worker-thread enumerator into this one (the
-  /// parallel executor merges shard counters in deterministic task order).
-  void AddCounts(uint64_t windows, uint64_t edges, uint64_t pruned = 0) {
-    windows_loaded_ += windows;
-    edges_scanned_ += edges;
-    walks_pruned_ += pruned;
-  }
-
-  /// Walk tuples enumerated at depth 0 (the start-stream output).
-  uint64_t starts_enumerated() const { return starts_enumerated_; }
-  const std::vector<LevelCounts>& level_counts() const {
-    return level_counts_;
-  }
-
-  /// Folds a worker enumerator's per-level counters into this one
-  /// (order-independent integer sums, so the merged values match a
-  /// sequential run regardless of task interleaving).
-  void AddLevelCounts(const std::vector<LevelCounts>& levels,
-                      uint64_t starts) {
-    starts_enumerated_ += starts;
-    for (size_t i = 0; i < levels.size() && i < level_counts_.size(); ++i) {
-      level_counts_[i].Merge(levels[i]);
-    }
+  /// Copies the counts gathered since the last call into `out` and zeroes
+  /// them in place; allocates nothing once `out` has the levels.
+  void TakeCounts(Counts* out) {
+    *out = counts_;
+    counts_.Reset();
   }
 
  private:
@@ -173,11 +180,7 @@ class WalkEnumerator {
   double num_vertices_ = 0;
   double num_edges_ = 0;
 
-  uint64_t windows_loaded_ = 0;
-  uint64_t edges_scanned_ = 0;
-  uint64_t walks_pruned_ = 0;
-  uint64_t starts_enumerated_ = 0;
-  std::vector<LevelCounts> level_counts_;
+  Counts counts_;
   ByteGauge mem_window_;  // mem.window_cache.* resident window bytes
 };
 

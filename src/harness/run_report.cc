@@ -49,7 +49,7 @@ void RunReport::AddResult(const std::string& name, double value) {
 std::string RunReport::ToJson() const {
   std::string out;
   out.reserve(4096);
-  out.append("{\"schema_version\":10,\"binary\":");
+  out.append("{\"schema_version\":11,\"binary\":");
   AppendJsonString(binary_, &out);
   out.append(",\"runs\":[");
   bool first = true;
@@ -141,7 +141,6 @@ std::string RunReport::ToJson() const {
         AppendField(&out, "edges", ss.edges);
         AppendField(&out, "wall_nanos", ss.wall_nanos);
         AppendField(&out, "cpu_nanos", ss.cpu_nanos);
-        AppendField(&out, "state_digest", ss.state_digest);
         out.append("\"shuffle_bytes\":[");
         for (size_t m = 0; m < ss.shuffle_bytes.size(); ++m) {
           if (m > 0) out.push_back(',');

@@ -169,11 +169,11 @@ struct AlertsSection {
 /// Machine-readable run report (the `--metrics-json=<path>` output of the
 /// bench and harness binaries).
 ///
-/// Schema (version 10, validated by tools/trace_summary.py and diffed by
+/// Schema (version 11, validated by tools/trace_summary.py and diffed by
 /// tools/report_diff.py; readers accept REPORT_SCHEMA_MIN..MAX):
 /// ```json
 /// {
-///   "schema_version": 10,
+///   "schema_version": 11,
 ///   "binary": "fig12_overall",
 ///   "runs": [
 ///     {"name": "...", "timestamp": 0, "incremental": false,
@@ -194,7 +194,7 @@ struct AlertsSection {
 ///      "supersteps_profile": [  // v2, the per-superstep timeline
 ///        {"superstep": 0, "incremental": false, "active_vertices": 0,
 ///         "frontier": 0, "emissions": 0, "windows": 0, "edges": 0,
-///         "wall_nanos": 0, "cpu_nanos": 0, "state_digest": 0,  // v4
+///         "wall_nanos": 0, "cpu_nanos": 0,
 ///         "shuffle_bytes": [..]}, ...]},
 ///     ...
 ///   ],

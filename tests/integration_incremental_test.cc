@@ -44,15 +44,10 @@ class IncrementalTest : public ::testing::TestWithParam<OptConfig> {
                    const std::function<void(const Engine&, const Csr&)>&
                        check) {
     auto all_edges = GenerateRmatEdges(1 << 9, 6 << 9, {.seed = 99});
-    if (symmetric) {
-      // Undirected analytics mutate canonical (min, max) edges; each
-      // mutation is applied to both directions below. Canonicalize the
-      // pool so (a,b) and (b,a) are one undirected edge.
-      for (Edge& e : all_edges) {
-        if (e.src > e.dst) std::swap(e.src, e.dst);
-      }
-    }
-    MutationWorkload workload(all_edges, 0.9, 1234);
+    // Undirected analytics mutate canonical (min, max) edges, so (a,b)
+    // and (b,a) are one undirected edge; each mutation is applied to both
+    // directions below.
+    MutationWorkload workload(all_edges, 0.9, 1234, symmetric);
     std::vector<Edge> base = workload.initial_edges();
     std::vector<Edge> base_stored = symmetric ? SymmetrizeEdges(base) : base;
     const VertexId n = 1 << 9;
@@ -249,11 +244,6 @@ struct PlanInput {
 PlanInput MakePlanInput(bool symmetric, int count, size_t size,
                         double insert_ratio) {
   auto edges = GenerateRmatEdges(kPlanVertices, 6 << 9, {.seed = 99});
-  if (symmetric) {
-    for (Edge& e : edges) {
-      if (e.src > e.dst) std::swap(e.src, e.dst);
-    }
-  }
   MutationWorkload workload(edges, 0.9, 1234, symmetric);
   PlanInput input{symmetric, workload.initial_edges(), {}};
   for (int i = 0; i < count; ++i) {

@@ -151,9 +151,6 @@ struct PipelineSpec {
   /// The store's buffer pool capacity.
   size_t pool_pages = 2048;
   size_t batch_size = 60;
-  /// Mutate canonical (min, max) edges, so that a symmetric batch never
-  /// inserts a present edge (DynamicGraphStore's degree contract).
-  bool canonical = false;
   /// False keeps every superstep on the record path.
   bool pull = true;
 };
@@ -163,12 +160,9 @@ Fingerprint RunPipelineOnce(const PipelineSpec& spec) {
   const VertexId n = VertexId{1} << spec.scale;
   auto all_edges = GenerateRmatEdges(n, 6 * static_cast<size_t>(n),
                                      {.seed = 99});
-  if (spec.symmetric) {
-    for (Edge& e : all_edges) {
-      if (e.src > e.dst) std::swap(e.src, e.dst);
-    }
-  }
-  MutationWorkload workload(all_edges, 0.9, 1234, spec.canonical);
+  // A symmetric pipeline mutates canonical (min, max) edges, so that no
+  // batch inserts a present edge (DynamicGraphStore's degree contract).
+  MutationWorkload workload(all_edges, 0.9, 1234, spec.symmetric);
   std::vector<Edge> base = workload.initial_edges();
   std::vector<Edge> base_stored =
       spec.symmetric ? SymmetrizeEdges(base) : base;
@@ -444,8 +438,7 @@ TEST(ParallelDeterminismTest, PullMatchesRecordPath) {
   // match a run with the pull turned off, at every thread count.
   // The monotone programs reach a recomputed superstep with a dense
   // frontier only when a batch rewires much of the graph, hence their
-  // large, deletion-heavy batches. Symmetric pipelines mutate canonical
-  // edges, so that no batch inserts a present edge.
+  // large, deletion-heavy batches.
   struct Case {
     std::string tag;
     std::string source;
@@ -472,7 +465,6 @@ TEST(ParallelDeterminismTest, PullMatchesRecordPath) {
       spec.fixed_supersteps = c.fixed_supersteps;
       spec.num_threads = threads;
       spec.batch_size = c.batch_size;
-      spec.canonical = c.symmetric;
       const std::string tag =
           "pull_" + c.tag + "_t" + std::to_string(threads);
       spec.tag = tag;

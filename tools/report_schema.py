@@ -33,9 +33,13 @@ Version history:
   10 runs drop the field holding the pool's modeled makespan (Brent's
      bound); thread scaling is measured wall time only. Older reports
      keep that field and still validate
+  11 superstep-timeline rows drop "state_digest", which no engine option
+     fills any more (it read 0 in every report); the per-run
+     "state_digest" stays. Older reports keep the row field and still
+     validate
 """
 
 MIN_SCHEMA = 1
-MAX_SCHEMA = 10
+MAX_SCHEMA = 11
 
 SCHEMA_RANGE = range(MIN_SCHEMA, MAX_SCHEMA + 1)

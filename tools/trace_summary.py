@@ -34,7 +34,9 @@ itg_loadgen's capacity curve, knee and SLO verdict, version 8 the
 always-present "resources" section of per-ResourceContext attribution
 rows cross-checked against the resource.<ctx>.* counters, version 9
 the optional "alerts" section: the alert engine's end-of-run rule
-states, fire/flap tallies and incident-bundle counts).
+states, fire/flap tallies and incident-bundle counts, version 10 drops
+the runs' modeled-makespan field and version 11 the superstep rows'
+"state_digest").
 Validates the schema and prints a short digest. Exits non-zero on any schema violation, so it
 doubles as the ctest smoke check.
 """
