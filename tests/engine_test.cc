@@ -452,6 +452,187 @@ TEST(EngineTaskCutTest, HubStartRunsAsItsOwnTask) {
   EXPECT_EQ(level1_windows(PageRankProgram(), 4, nullptr), blocks);
 }
 
+/// 600 vertices, more than one Update block and not a multiple of it.
+/// Every vertex has out-edges; v receives an edge from v - 1 unless
+/// v % 5 == 4, and one from v - 2 when v is even, so its in-degree is 0, 1
+/// or 2 and the Update bodies of one block take different branches.
+struct UpdateContractGraph {
+  static constexpr VertexId kVertices = 600;
+  std::vector<Edge> edges;
+  std::vector<int> in_degree = std::vector<int>(kVertices, 0);
+
+  UpdateContractGraph() {
+    const VertexId n = kVertices;
+    for (VertexId u = 0; u < n; ++u) {
+      if ((u + 1) % n % 5 != 4) edges.push_back({u, (u + 1) % n});
+      if (u % 2 == 0) edges.push_back({u, (u + 2) % n});
+    }
+    for (const Edge& e : edges) ++in_degree[static_cast<size_t>(e.dst)];
+  }
+};
+
+/// Runs one superstep of `program` at `threads` and returns the engine.
+std::unique_ptr<Engine> RunOneSuperstep(const CompiledProgram* program,
+                                        DynamicGraphStore* store,
+                                        int threads) {
+  EngineOptions opts;
+  opts.fixed_supersteps = 1;
+  opts.record_history = false;
+  opts.num_threads = threads;
+  auto engine = std::make_unique<Engine>(store, program, opts);
+  EXPECT_TRUE(engine->RunOneShot(0).ok());
+  return engine;
+}
+
+TEST(EngineUpdateContractTest, BranchesAndShortCircuitsCountPerVertex) {
+  // Both If conditions short-circuit: the && skips `u.s > 1` where
+  // u.id % 3 != 0, the || skips it where u.id is even. Node counts: each
+  // condition's operator and its left operand 6, `u.s > 1` 3,
+  // `u.x = u.s + 1` and `u.x = u.x * 2` 3 each, `u.y = 2` 1.
+  const std::string source = R"(
+    Vertex (id, active, out_nbrs, x: double, y: double,
+            s: Accm<double, SUM>)
+    Initialize (u) {
+      u.active = true;
+    }
+    Traverse (u) {
+      For v in u.out_nbrs {
+        v.s.Accumulate(1);
+      }
+    }
+    Update (u) {
+      If (u.id % 3 == 0 && u.s > 1) {
+        u.x = u.s + 1;
+      } Else {
+        u.y = 2;
+      }
+      If (u.id % 2 == 0 || u.s > 1) {
+        u.x = u.x * 2;
+      }
+    }
+  )";
+  const UpdateContractGraph graph;
+  const VertexId n = UpdateContractGraph::kVertices;
+  std::vector<double> x(static_cast<size_t>(n), 0.0);
+  std::vector<double> y(static_cast<size_t>(n), 0.0);
+  uint64_t bodies = 0;
+  uint64_t evals = 0;
+  uint64_t assigns = 0;
+  for (VertexId v = 0; v < n; ++v) {
+    const auto vi = static_cast<size_t>(v);
+    const double s = graph.in_degree[vi];
+    if (s == 0) continue;  // no contribution, no Update body
+    ++bodies;
+    const bool cond1 = v % 3 == 0 && s > 1;
+    evals += 6 + (v % 3 == 0 ? 3 : 0);
+    if (cond1) {
+      x[vi] = s + 1;
+      evals += 3;
+    } else {
+      y[vi] = 2;
+      evals += 1;
+    }
+    ++assigns;
+    const bool cond2 = v % 2 == 0 || s > 1;
+    evals += 6 + (v % 2 != 0 ? 3 : 0);
+    if (cond2) {
+      x[vi] = x[vi] * 2;
+      evals += 3;
+      ++assigns;
+    }
+  }
+  ASSERT_GT(bodies, 2u * 256u);
+
+  auto compiled = CompileProgram(source);
+  ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+  const std::unique_ptr<CompiledProgram> program = std::move(compiled).value();
+  auto store_or = DynamicGraphStore::Create(
+      ::testing::TempDir() + "/update_contract_branches", n, graph.edges, {},
+      &GlobalMetrics());
+  ASSERT_TRUE(store_or.ok());
+  const std::unique_ptr<DynamicGraphStore> store = std::move(store_or).value();
+  for (int threads : {1, 4}) {
+    const auto engine =
+        RunOneSuperstep(program.get(), store.get(), threads);
+    const gsa::OperatorCounters* update =
+        engine->last_profile().Find(program->update_op);
+    ASSERT_NE(update, nullptr);
+    EXPECT_EQ(update->in_pos, bodies) << "threads=" << threads;
+    EXPECT_EQ(update->evals, evals) << "threads=" << threads;
+    EXPECT_EQ(update->out_pos, assigns) << "threads=" << threads;
+    const int xa = engine->AttrIndex("x");
+    const int ya = engine->AttrIndex("y");
+    for (VertexId v = 0; v < n; ++v) {
+      const auto vi = static_cast<size_t>(v);
+      EXPECT_EQ(engine->AttrValue(xa, v), x[vi])
+          << "threads=" << threads << " v=" << v;
+      EXPECT_EQ(engine->AttrValue(ya, v), y[vi])
+          << "threads=" << threads << " v=" << v;
+    }
+  }
+}
+
+TEST(EngineUpdateContractTest, GlobalWritingBodiesRunInVertexOrder) {
+  // Each body folds the vertex into a global, so the final globals and the
+  // attribute each body copies depend on the order the bodies ran in.
+  const std::string source = R"(
+    Vertex (id, active, out_nbrs, x: double, s: Accm<double, SUM>)
+    GlobalVariable (g: double, h: double)
+    Initialize (u) {
+      g = g * 0.5 + u.id;
+      u.x = g;
+      u.active = true;
+    }
+    Traverse (u) {
+      For v in u.out_nbrs {
+        v.s.Accumulate(1);
+      }
+    }
+    Update (u) {
+      h = h * 0.5 + u.id + u.s;
+      u.x = u.x + h;
+    }
+  )";
+  const UpdateContractGraph graph;
+  const VertexId n = UpdateContractGraph::kVertices;
+  std::vector<double> x(static_cast<size_t>(n), 0.0);
+  double g = 0;
+  double h = 0;
+  for (VertexId v = 0; v < n; ++v) {
+    g = g * 0.5 + static_cast<double>(v);
+    x[static_cast<size_t>(v)] = g;
+  }
+  for (VertexId v = 0; v < n; ++v) {
+    const auto vi = static_cast<size_t>(v);
+    const double s = graph.in_degree[vi];
+    if (s == 0) continue;
+    h = h * 0.5 + static_cast<double>(v) + s;
+    x[vi] = x[vi] + h;
+  }
+
+  auto compiled = CompileProgram(source);
+  ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+  const std::unique_ptr<CompiledProgram> program = std::move(compiled).value();
+  auto store_or = DynamicGraphStore::Create(
+      ::testing::TempDir() + "/update_contract_globals", n, graph.edges, {},
+      &GlobalMetrics());
+  ASSERT_TRUE(store_or.ok());
+  const std::unique_ptr<DynamicGraphStore> store = std::move(store_or).value();
+  for (int threads : {1, 4}) {
+    const auto engine =
+        RunOneSuperstep(program.get(), store.get(), threads);
+    EXPECT_EQ(engine->GlobalValue(engine->GlobalIndex("g"))[0], g)
+        << "threads=" << threads;
+    EXPECT_EQ(engine->GlobalValue(engine->GlobalIndex("h"))[0], h)
+        << "threads=" << threads;
+    const int xa = engine->AttrIndex("x");
+    for (VertexId v = 0; v < n; ++v) {
+      EXPECT_EQ(engine->AttrValue(xa, v), x[static_cast<size_t>(v)])
+          << "threads=" << threads << " v=" << v;
+    }
+  }
+}
+
 TEST_F(EngineTest, ExplainContainsIncrementalSubqueries) {
   Build(GenerateRmatEdges(1 << 6, 2 << 6, {.seed = 59}), 1 << 6,
         TriangleCountProgram());
