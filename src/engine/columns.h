@@ -13,7 +13,8 @@
 namespace itg {
 
 /// Maximum width of an attribute (Array<_, N> needs N <= kMaxAttrWidth).
-/// Bounds the evaluator's stack scratch buffers.
+/// Bounds the value a walk task keeps per emission (Engine::EmissionSlot);
+/// the executor's frames are sized from the lowered code instead.
 inline constexpr int kMaxAttrWidth = 64;
 
 /// Columnar storage for vertex attribute values at one (snapshot,

@@ -219,6 +219,12 @@ Status WalkEnumerator::Extend(
   ctx.num_vertices = num_vertices_;
   ctx.num_edges = num_edges_;
   ctx.eval_counter = &lc.evals;
+  // The level's general conjuncts, if it has any.
+  const SlotCode* general = nullptr;
+  if (!spec.general.empty()) {
+    ITG_CHECK(code_ != nullptr) << "general Where conjuncts need SetCode";
+    general = &code_->where[static_cast<size_t>(level - 1)];
+  }
 
   std::vector<VertexId> row(static_cast<size_t>(prefix_len) + 1);
   AdjacencyWindow window;
@@ -246,7 +252,7 @@ Status WalkEnumerator::Extend(
       const auto [begin, end] = window.ranges[pos[i] - cb];
       if (begin == end) continue;
       std::copy(prefix, prefix + prefix_len, row.begin());
-      ctx.row = row.data();
+      ctx.rows = row.data();
       ctx.row_len = prefix_len + 1;
 
       const VertexId* dsts = window.dsts.data();
@@ -270,14 +276,10 @@ Status WalkEnumerator::Extend(
             ++lc.pruned;
             break;
           }
-          bool ok = true;
-          for (const lang::Expr* cond : spec.general) {
-            if (!EvaluateBool(*cond, ctx)) {
-              ok = false;
-              break;
-            }
+          if (general != nullptr &&
+              ExecuteOne(*general, ctx, frame_) == nullptr) {
+            continue;
           }
-          if (!ok) continue;
           int m = mults[i] * window.mults[j];
           (m > 0 ? lc.out_pos : lc.out_neg) += 1;
           sink(row.data(), prefix_len, m);
@@ -307,14 +309,10 @@ Status WalkEnumerator::Extend(
         }
         row[prefix_len] = v;
         if (spec.eq_pos >= 0 && v != row[spec.eq_pos]) continue;
-        bool ok = true;
-        for (const lang::Expr* cond : spec.general) {
-          if (!EvaluateBool(*cond, ctx)) {
-            ok = false;
-            break;
-          }
+        if (general != nullptr &&
+            ExecuteOne(*general, ctx, frame_) == nullptr) {
+          continue;
         }
-        if (!ok) continue;
         int m = mults[i] * window.mults[j];
         (m > 0 ? lc.out_pos : lc.out_neg) += 1;
         sink(row.data(), prefix_len, m);

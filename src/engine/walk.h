@@ -132,6 +132,14 @@ class WalkEnumerator {
     num_edges_ = num_edges;
   }
 
+  /// The lowered general Where conjuncts (ProgramCode::where) and the
+  /// frame of the worker this enumerator runs on. Required when a level
+  /// has general conjuncts.
+  void SetCode(const ProgramCode* code, EvalFrame* frame) {
+    code_ = code;
+    frame_ = frame;
+  }
+
   /// Enumerates walks from `starts` (already filtered by the caller).
   ///
   /// `streams[j]` selects the graph version of level j+1; `current_t` /
@@ -179,6 +187,8 @@ class WalkEnumerator {
   const std::vector<std::vector<double>>* globals_ = nullptr;
   double num_vertices_ = 0;
   double num_edges_ = 0;
+  const ProgramCode* code_ = nullptr;
+  EvalFrame* frame_ = nullptr;
 
   Counts counts_;
   ByteGauge mem_window_;  // mem.window_cache.* resident window bytes

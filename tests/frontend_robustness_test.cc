@@ -1,14 +1,41 @@
 // Robustness of the language front end: randomly corrupted variants of
 // valid programs must come back as ParseError/CompileError — never a
-// crash, never a silently-compiled wrong program shape.
+// crash, never a silently-compiled wrong program shape — and whatever
+// compiles must lower to slot code whose Initialize and Update bodies
+// run.
 #include <gtest/gtest.h>
 
 #include "algos/programs.h"
 #include "common/rng.h"
 #include "compiler/compiled_program.h"
+#include "engine/eval.h"
 
 namespace itg {
 namespace {
+
+/// Lowers `program` and runs its Initialize, then its Update body, once
+/// over a block of four vertices; returns the columns they wrote.
+ColumnSet LowerAndRun(const CompiledProgram& program) {
+  const ProgramCode code(program);
+  EvalFrame frame = code.NewFrame();
+  std::vector<int> widths;
+  for (const auto& attr : program.vertex_attrs) {
+    widths.push_back(attr.type.width);
+  }
+  ColumnSet cols;
+  cols.Init(4, widths);
+  std::vector<std::vector<double>> globals;
+  for (const auto& g : program.globals) {
+    globals.emplace_back(static_cast<size_t>(g.type.width), 0.0);
+  }
+  EvalContext ctx = BodyContext(&cols, &globals, 4, 8);
+  for (int v = 0; v < 4; ++v) frame.lanes()[v] = v;
+  ctx.rows = frame.lanes();
+  ctx.row_len = 1;
+  Execute(code.init, ctx, 4, &frame);
+  Execute(code.update, ctx, 4, &frame);
+  return cols;
+}
 
 /// Deletes, duplicates or swaps random characters of a valid source.
 std::string Corrupt(const std::string& source, Rng* rng, int edits) {
@@ -49,7 +76,9 @@ TEST_P(FrontendFuzz, CorruptedProgramsNeverCrashTheCompiler) {
         EXPECT_TRUE(code == StatusCode::kParseError ||
                     code == StatusCode::kCompileError)
             << result.status().ToString();
+        continue;
       }
+      LowerAndRun(**result);
     }
   }
 }
@@ -87,7 +116,12 @@ TEST(FrontendRobustness, DeeplyNestedExpressionsParse) {
                        "Initialize (u) { u.x = " + expr + "; } "
                        "Traverse (u) {} Update (u) {}";
   auto result = CompileProgram(source);
-  EXPECT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  // The left-nested sum lowers to two slots: each + overwrites its left
+  // operand.
+  EXPECT_EQ(SlotCode::Body(*(*result)->init_body).slot_doubles(), 2);
+  const ColumnSet cols = LowerAndRun(**result);
+  for (VertexId v = 0; v < 4; ++v) EXPECT_EQ(cols.Cell(3, v)[0], 201.0);
 }
 
 TEST(FrontendRobustness, DeeplyNestedLoopsCompile) {
